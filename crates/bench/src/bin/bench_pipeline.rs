@@ -21,7 +21,7 @@
 //!         [--max-trace-overhead X] [--max-transfer-visits N]
 //!         [--max-allocs N] [--max-frontend-allocs N]
 //!         [--max-recompiled-funcs N] [--min-cache-hit-rate X]
-//!         [--no-scratch] [--fresh-frontend] [--force-sweep]`
+//!         [--force-sweep]`
 //!
 //! With `--max-2t-slowdown X` the process exits nonzero if the 2-worker
 //! total is more than `X` times the sequential total — the CI regression
@@ -33,31 +33,26 @@
 //! With `--max-analysis-builds N` the process exits nonzero if the suite
 //! total of analysis builds (CFG + dominators + loop forest + loop
 //! geometry + liveness constructions, from `PipelineReport`) exceeds `N`
-//! — the CI gate against silently regressing to rebuild-per-pass. The
-//! JSON records both the cached count and an uncached baseline measured
-//! with `share_analyses: false`, so the cache's effect is an auditable
-//! ratio rather than an anecdote.
+//! — the CI gate against silently regressing to rebuild-per-pass (the
+//! rebuild-per-pass baseline's count is recorded in DESIGN.md §9.4).
 //!
 //! With `--max-transfer-visits N` the process exits nonzero if the suite
 //! total of dataflow transfer evaluations (from
 //! `PipelineReport::dataflow_stats`, summed over liveness, constprop,
 //! loadelim, DCE marking, and points-to) exceeds `N` — the CI gate
 //! against a solver silently regressing from its sparse worklist back to
-//! dense resweeps. The JSON records the sparse counters next to a dense
-//! baseline measured with `sparse_dataflow: false`.
+//! dense resweeps (the dense baseline's count is recorded in DESIGN.md
+//! §11).
 //!
 //! This binary installs [`trace::CountingAlloc`] as its global allocator,
 //! so every `PassTiming` row carries real allocator-traffic numbers and
-//! the JSON gains two suite-level columns: `alloc_stats` — allocator
+//! the JSON gains a suite-level `alloc_stats` column — allocator
 //! calls/bytes of a steady-state sequential compile (second compile of
-//! each program on a warm pool, scratch arenas reused) — and
-//! `alloc_stats_fresh` — the same compile with `reuse_scratch: false`,
-//! i.e. a cold arena per function, the allocation behaviour the arenas
-//! replaced. With `--max-allocs N` the process exits nonzero if the
-//! steady-state suite total exceeds `N` allocator calls — the CI gate
-//! that keeps the hot loop allocation-free. `--no-scratch` flips every
-//! *timed* run to `reuse_scratch: false` for A/B timing experiments (the
-//! two alloc columns are always measured in their own modes regardless).
+//! each program on a warm pool, scratch arenas reused). With
+//! `--max-allocs N` the process exits nonzero if the steady-state suite
+//! total exceeds `N` allocator calls — the CI gate that keeps the hot
+//! loop allocation-free (the fresh-arena baseline's count is recorded in
+//! DESIGN.md §12).
 //!
 //! The suite is also run sequentially with structured tracing enabled
 //! (`PipelineConfig::trace`). With `--max-trace-overhead X` the process
@@ -72,20 +67,14 @@
 //! The front end is measured the same way the middle end is. One warm
 //! [`minic::Frontend`] — interner, token buffer, AST pools — is fed the
 //! whole suite in order, and each program gets per-phase timings (`lex`,
-//! `parse`, `lower`) plus two allocator columns: `frontend.alloc_stats`,
-//! a steady-state compile on the warm buffers, and
-//! `frontend.alloc_stats_fresh`, the same program through the preserved
-//! baseline front end (`minic::classic`) which allocates strings, boxes,
-//! and vectors per compile — the honest "before" number. The unoptimized
-//! IL of both front ends is asserted byte-identical per program. Each
-//! program also gets `e2e_ms`: source text through the warm front end
-//! and the sequential pipeline to optimized IL, the number a user of
-//! `Session::compile` experiences. With `--max-frontend-allocs N` the
-//! process exits nonzero if the suite total of warm front-end allocator
-//! calls exceeds `N` — the CI gate that keeps front-end buffer recycling
-//! from silently regressing. `--fresh-frontend` flips the *timed* e2e
-//! runs to the classic front end for A/B experiments (the two front-end
-//! alloc columns are always measured in their own modes regardless).
+//! `parse`, `lower`) plus `frontend.alloc_stats`, the allocator traffic
+//! of a steady-state compile on the warm buffers. Each program also gets
+//! `e2e_ms`: source text through the warm front end and the sequential
+//! pipeline to optimized IL, the number a user of `Session::compile`
+//! experiences. With `--max-frontend-allocs N` the process exits nonzero
+//! if the suite total of warm front-end allocator calls exceeds `N` — the
+//! CI gate that keeps front-end buffer recycling from silently regressing
+//! (the classic front end's count is recorded in DESIGN.md §13).
 //!
 //! The **warm-edit** scenario measures incremental recompilation the way
 //! a developer experiences it: an incremental [`driver::Session`]
@@ -145,12 +134,8 @@ struct ProgramResult {
     /// is the pass's allocator traffic from the same (sequential,
     /// steady-state) reference run.
     passes: Vec<(&'static str, f64, bool, AllocStats)>,
-    /// Analysis builds with the shared cache (the shipping configuration).
-    builds_cached: cfg::BuildCounts,
-    /// Analysis builds with `share_analyses: false` — every stage gets a
-    /// throwaway cache, i.e. the rebuild-per-pass behaviour this cache
-    /// replaced. The honest "before" number.
-    builds_uncached: cfg::BuildCounts,
+    /// Analysis builds through the shared per-function cache.
+    builds: cfg::BuildCounts,
     /// Sequential run time with tracing off, measured back-to-back with
     /// `trace_on_ms` so the pair differs only in `PipelineConfig::trace`.
     trace_off_ms: f64,
@@ -159,16 +144,8 @@ struct ProgramResult {
     /// Allocator traffic of a steady-state sequential compile: the second
     /// compile of this program on a warm pool, scratch arenas reused.
     alloc_stats: AllocStats,
-    /// The same compile with `reuse_scratch: false` — a cold arena per
-    /// function. The honest "before" number for the arenas.
-    alloc_stats_fresh: AllocStats,
-    /// Dataflow solver work with the sparse worklist solvers (the
-    /// shipping configuration).
+    /// Dataflow solver work of the sparse worklist solvers.
     dataflow: cfg::DataflowStats,
-    /// The same counters with `sparse_dataflow: false` — dense
-    /// full-resweep fixpoints, the behaviour the worklists replaced. The
-    /// honest "before" number.
-    dataflow_dense: cfg::DataflowStats,
     /// Front-end phase timings and allocator columns.
     frontend: FrontendResult,
     /// Source text to optimized IL through the warm front end and the
@@ -186,24 +163,16 @@ struct FrontendResult {
     /// Allocator traffic of a steady-state compile on the warm front end
     /// (interner populated, token/AST pools at high-water capacity).
     alloc_stats: AllocStats,
-    /// The same program through the preserved baseline front end
-    /// (`minic::classic`): fresh strings, boxes, and vectors every
-    /// compile. The honest "before" number.
-    alloc_stats_fresh: AllocStats,
 }
 
 fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// `reuse_scratch` is threaded from `--no-scratch` so the *timed* sweep
-/// can be A/B'd; the alloc-stats measurements below always pin their own
-/// mode.
-fn config(threads: usize, reuse_scratch: bool) -> PipelineConfig {
+fn config(threads: usize) -> PipelineConfig {
     PipelineConfig {
         threads: Some(threads),
         validate_each_pass: false,
-        reuse_scratch,
         ..Default::default()
     }
 }
@@ -246,8 +215,6 @@ fn main() {
     let mut max_frontend_allocs: Option<u64> = None;
     let mut max_recompiled_funcs: Option<usize> = None;
     let mut min_cache_hit_rate: Option<f64> = None;
-    let mut reuse_scratch = true;
-    let mut fresh_frontend = false;
     let mut force_sweep = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -275,10 +242,6 @@ fn main() {
         } else if a == "--min-cache-hit-rate" {
             let v = args.next().expect("--min-cache-hit-rate needs a value");
             min_cache_hit_rate = Some(v.parse().expect("--min-cache-hit-rate value"));
-        } else if a == "--no-scratch" {
-            reuse_scratch = false;
-        } else if a == "--fresh-frontend" {
-            fresh_frontend = true;
         } else if a == "--force-sweep" {
             force_sweep = true;
         } else {
@@ -332,28 +295,13 @@ fn main() {
             warm_fe.compile(b.source).expect("suite program compiles");
             AllocStats::now().since(&before)
         };
-        // The fresh baseline: the preserved classic front end, which
-        // allocates identifier strings, boxed AST nodes, and vectors
-        // per compile. Its output must be byte-identical.
-        let (front_alloc_stats_fresh, classic_module) = {
-            let before = AllocStats::now();
-            let m = minic::classic::compile(b.source).expect("suite program compiles");
-            (AllocStats::now().since(&before), m)
-        };
-        assert_eq!(
-            ir::module_to_string(&module),
-            ir::module_to_string(&classic_module),
-            "{}: interned and classic front ends disagree on unoptimized IL",
-            b.name
-        );
-        drop(classic_module);
         let mut runs = Vec::new();
         let mut reference_il: Option<String> = None;
         let mut passes = Vec::new();
-        let mut builds_cached = cfg::BuildCounts::default();
+        let mut builds = cfg::BuildCounts::default();
         let mut dataflow = cfg::DataflowStats::default();
         for (&threads, pool) in sweep.iter().zip(&pools) {
-            let cfg = config(threads, reuse_scratch);
+            let cfg = config(threads);
             let timing = measure(ITERS, || {
                 let mut m = module.clone();
                 run_pipeline_in(&mut m, &cfg, pool);
@@ -366,7 +314,7 @@ fn main() {
             match &reference_il {
                 None => {
                     reference_il = Some(il);
-                    builds_cached = report.analysis_builds;
+                    builds = report.analysis_builds;
                     dataflow = report.dataflow_stats;
                     passes = report
                         .timings
@@ -387,29 +335,12 @@ fn main() {
                 ms: ms(timing.min),
             });
         }
-        // Uncached baseline: same pipeline, throwaway cache per stage.
-        // Output must not depend on the caching mode.
-        let builds_uncached = {
-            let mut m = module.clone();
-            let cfg = PipelineConfig {
-                share_analyses: false,
-                ..config(1, reuse_scratch)
-            };
-            let report = run_pipeline_in(&mut m, &cfg, &pools[0]);
-            assert_eq!(
-                reference_il.as_deref(),
-                Some(m.to_string().as_str()),
-                "{}: share_analyses=false changed the output",
-                b.name
-            );
-            report.analysis_builds
-        };
         // Steady-state allocator traffic: warm this program's arenas (and
         // every other per-run buffer) with one untimed compile, then count
         // a second compile. The snapshots bracket only the pipeline run —
         // the input module clone is built before the first read.
         let alloc_stats = {
-            let cfg = config(1, true);
+            let cfg = config(1);
             let mut m = module.clone();
             run_pipeline_in(&mut m, &cfg, &pools[0]);
             let mut m = module.clone();
@@ -417,49 +348,16 @@ fn main() {
             run_pipeline_in(&mut m, &cfg, &pools[0]);
             AllocStats::now().since(&before)
         };
-        // The fresh-arena baseline: identical steady-state protocol, but
-        // every function pays the cold-arena allocation cost. Output must
-        // not depend on the scratch mode.
-        let alloc_stats_fresh = {
-            let cfg = config(1, false);
-            let mut m = module.clone();
-            run_pipeline_in(&mut m, &cfg, &pools[0]);
-            let mut m = module.clone();
-            let before = AllocStats::now();
-            run_pipeline_in(&mut m, &cfg, &pools[0]);
-            let stats = AllocStats::now().since(&before);
-            assert_eq!(
-                reference_il.as_deref(),
-                Some(m.to_string().as_str()),
-                "{}: reuse_scratch=false changed the output",
-                b.name
-            );
-            stats
-        };
-        // Dense-solver baseline: the same pipeline with the full-resweep
-        // fixpoints the worklists replaced. Only the work counters are
-        // harvested — the IL may legitimately differ, because sparse
-        // constprop is *stronger* (executable-edge pruning folds through
-        // branches the dense join cannot); the differential tests pin
-        // down exactly where the two modes are required to agree.
-        let dataflow_dense = {
-            let mut m = module.clone();
-            let cfg = PipelineConfig {
-                sparse_dataflow: false,
-                ..config(1, reuse_scratch)
-            };
-            run_pipeline_in(&mut m, &cfg, &pools[0]).dataflow_stats
-        };
         // Tracing overhead: the same sequential pipeline with remark and
         // delta collection off vs on, measured back-to-back so the pair
         // differs only in `trace`.
         let trace_cfg = PipelineConfig {
             trace: true,
-            ..config(1, reuse_scratch)
+            ..config(1)
         };
         let trace_off_timing = measure(TRACE_ITERS, || {
             let mut m = module.clone();
-            run_pipeline_in(&mut m, &config(1, reuse_scratch), &pools[0]);
+            run_pipeline_in(&mut m, &config(1), &pools[0]);
         });
         let trace_timing = measure(TRACE_ITERS, || {
             let mut m = module.clone();
@@ -481,35 +379,26 @@ fn main() {
         }
         // End-to-end: source text to optimized IL. The warm front end and
         // the warm sequential pool are both reused across iterations —
-        // the steady state a `Session` delivers. `--fresh-frontend` swaps
-        // in the classic front end for the A/B comparison.
-        let e2e_cfg = config(1, reuse_scratch);
+        // the steady state a `Session` delivers.
+        let e2e_cfg = config(1);
         let e2e_timing = measure(FRONT_ITERS, || {
-            let mut m = if fresh_frontend {
-                minic::classic::compile(b.source).expect("suite program compiles")
-            } else {
-                warm_fe.compile(b.source).expect("suite program compiles")
-            };
+            let mut m = warm_fe.compile(b.source).expect("suite program compiles");
             run_pipeline_in(&mut m, &e2e_cfg, &pools[0]);
         });
         results.push(ProgramResult {
             name: b.name.to_string(),
             runs,
             passes,
-            builds_cached,
-            builds_uncached,
+            builds,
             trace_off_ms: ms(trace_off_timing.min),
             trace_on_ms: ms(trace_timing.min),
             alloc_stats,
-            alloc_stats_fresh,
             dataflow,
-            dataflow_dense,
             frontend: FrontendResult {
                 lex_ms: ms(lex_timing.min),
                 parse_ms: ms(parse_timing.min),
                 lower_ms: ms(lower_timing.min),
                 alloc_stats: front_alloc_stats,
-                alloc_stats_fresh: front_alloc_stats_fresh,
             },
             e2e_ms: ms(e2e_timing.min),
         });
@@ -573,24 +462,16 @@ fn main() {
     let total_trace_off: f64 = results.iter().map(|r| r.trace_off_ms).sum();
     let total_trace_on: f64 = results.iter().map(|r| r.trace_on_ms).sum();
     let trace_overhead = total_trace_on / total_trace_off.max(1e-9);
-    let mut total_builds_cached = cfg::BuildCounts::default();
-    let mut total_builds_uncached = cfg::BuildCounts::default();
+    let mut total_builds = cfg::BuildCounts::default();
     let mut total_dataflow = cfg::DataflowStats::default();
-    let mut total_dataflow_dense = cfg::DataflowStats::default();
     let mut total_allocs = AllocStats::default();
-    let mut total_allocs_fresh = AllocStats::default();
     let mut total_front_allocs = AllocStats::default();
-    let mut total_front_allocs_fresh = AllocStats::default();
     let total_e2e: f64 = results.iter().map(|r| r.e2e_ms).sum();
     for r in &results {
-        total_builds_cached.add(&r.builds_cached);
-        total_builds_uncached.add(&r.builds_uncached);
+        total_builds.add(&r.builds);
         total_dataflow.add(&r.dataflow);
-        total_dataflow_dense.add(&r.dataflow_dense);
         total_allocs.merge(&r.alloc_stats);
-        total_allocs_fresh.merge(&r.alloc_stats_fresh);
         total_front_allocs.merge(&r.frontend.alloc_stats);
-        total_front_allocs_fresh.merge(&r.frontend.alloc_stats_fresh);
     }
 
     // Hand-rolled JSON: names are suite identifiers and pass labels, none
@@ -618,44 +499,19 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"analysis_builds\": {},",
-        builds_json(&total_builds_cached)
-    );
-    let _ = writeln!(
-        json,
-        "  \"analysis_builds_uncached\": {},",
-        builds_json(&total_builds_uncached)
+        builds_json(&total_builds)
     );
     let _ = writeln!(
         json,
         "  \"dataflow_stats\": {},",
         dataflow_json(&total_dataflow)
     );
-    let _ = writeln!(
-        json,
-        "  \"dataflow_stats_dense\": {},",
-        dataflow_json(&total_dataflow_dense)
-    );
     let _ = writeln!(json, "  \"alloc_stats\": {},", alloc_json(&total_allocs));
-    let _ = writeln!(
-        json,
-        "  \"alloc_stats_fresh\": {},",
-        alloc_json(&total_allocs_fresh)
-    );
     let _ = writeln!(json, "  \"total_e2e_ms\": {total_e2e:.3},");
-    let _ = writeln!(
-        json,
-        "  \"e2e_frontend\": \"{}\",",
-        if fresh_frontend { "fresh" } else { "warm" }
-    );
     let _ = writeln!(
         json,
         "  \"frontend_alloc_stats\": {},",
         alloc_json(&total_front_allocs)
-    );
-    let _ = writeln!(
-        json,
-        "  \"frontend_alloc_stats_fresh\": {},",
-        alloc_json(&total_front_allocs_fresh)
     );
     let _ = writeln!(
         json,
@@ -692,12 +548,7 @@ fn main() {
         let _ = writeln!(
             json,
             "      \"analysis_builds\": {},",
-            builds_json(&r.builds_cached)
-        );
-        let _ = writeln!(
-            json,
-            "      \"analysis_builds_uncached\": {},",
-            builds_json(&r.builds_uncached)
+            builds_json(&r.builds)
         );
         let _ = writeln!(
             json,
@@ -706,28 +557,17 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "      \"dataflow_stats_dense\": {},",
-            dataflow_json(&r.dataflow_dense)
-        );
-        let _ = writeln!(
-            json,
             "      \"alloc_stats\": {},",
             alloc_json(&r.alloc_stats)
         );
         let _ = writeln!(
             json,
-            "      \"alloc_stats_fresh\": {},",
-            alloc_json(&r.alloc_stats_fresh)
-        );
-        let _ = writeln!(
-            json,
             "      \"frontend\": {{ \"lex_ms\": {:.4}, \"parse_ms\": {:.4}, \
-             \"lower_ms\": {:.4}, \"alloc_stats\": {}, \"alloc_stats_fresh\": {} }},",
+             \"lower_ms\": {:.4}, \"alloc_stats\": {} }},",
             r.frontend.lex_ms,
             r.frontend.parse_ms,
             r.frontend.lower_ms,
-            alloc_json(&r.frontend.alloc_stats),
-            alloc_json(&r.frontend.alloc_stats_fresh)
+            alloc_json(&r.frontend.alloc_stats)
         );
         let _ = writeln!(json, "      \"e2e_ms\": {:.3},", r.e2e_ms);
         json.push_str("      \"runs\": [\n");
@@ -773,25 +613,12 @@ fn main() {
             total_seq / total.max(1e-9)
         );
     }
+    println!("  analysis builds: {}", total_builds.total());
+    println!("  dataflow transfers: {}", total_dataflow.transfer_evals);
     println!(
-        "  analysis builds: {} cached vs {} uncached ({:.2}x fewer)",
-        total_builds_cached.total(),
-        total_builds_uncached.total(),
-        total_builds_uncached.total() as f64 / total_builds_cached.total().max(1) as f64
-    );
-    println!(
-        "  dataflow transfers: {} sparse vs {} dense ({:.2}x fewer)",
-        total_dataflow.transfer_evals,
-        total_dataflow_dense.transfer_evals,
-        total_dataflow_dense.transfer_evals as f64 / total_dataflow.transfer_evals.max(1) as f64
-    );
-    println!(
-        "  steady-state allocs: {} reused-scratch vs {} fresh ({:.2}x fewer), {} KiB vs {} KiB",
+        "  steady-state allocs: {} ({} KiB)",
         total_allocs.count,
-        total_allocs_fresh.count,
-        total_allocs_fresh.count as f64 / total_allocs.count.max(1) as f64,
-        total_allocs.bytes / 1024,
-        total_allocs_fresh.bytes / 1024
+        total_allocs.bytes / 1024
     );
     println!(
         "  tracing: {total_trace_off:.1} ms off vs {total_trace_on:.1} ms on \
@@ -800,17 +627,11 @@ fn main() {
         remarks_path.display()
     );
     println!(
-        "  front-end allocs: {} warm vs {} classic ({:.2}x fewer), {} KiB vs {} KiB",
+        "  front-end allocs: {} ({} KiB)",
         total_front_allocs.count,
-        total_front_allocs_fresh.count,
-        total_front_allocs_fresh.count as f64 / total_front_allocs.count.max(1) as f64,
-        total_front_allocs.bytes / 1024,
-        total_front_allocs_fresh.bytes / 1024
+        total_front_allocs.bytes / 1024
     );
-    println!(
-        "  end-to-end (source -> optimized IL, {} front end): {total_e2e:.1} ms",
-        if fresh_frontend { "classic" } else { "warm" }
-    );
+    println!("  end-to-end (source -> optimized IL): {total_e2e:.1} ms");
     println!(
         "  warm edit ({}): {}/{} funcs recompiled (hit rate {:.3}), \
          {warm_edit_ms:.3} ms warm vs {cold_edit_ms:.3} ms cold ({:.2}x)",
@@ -836,7 +657,7 @@ fn main() {
         }
     }
     if let Some(limit) = max_analysis_builds {
-        let got = total_builds_cached.total();
+        let got = total_builds.total();
         if got > limit {
             eprintln!(
                 "FAIL: {got} analysis builds across the suite (limit {limit}) \

@@ -168,8 +168,8 @@ pub struct FunctionAnalyses {
     dom_scratch: DomScratch,
     /// Reusable worklist + candidate-set memory for liveness solves.
     live_scratch: LiveScratch,
-    /// When true, liveness uses the dense sweep solver (the benchmark's
-    /// baseline mode) instead of the sparse worklist.
+    /// When true, liveness uses the dense sweep solver (the differential
+    /// tests' reference) instead of the sparse worklist.
     dense_dataflow: bool,
     /// Ledger of artifact constructions performed through this cache.
     pub builds: BuildCounts,
@@ -244,8 +244,9 @@ impl FunctionAnalyses {
     }
 
     /// Selects the dense sweep solvers instead of the sparse worklists.
-    /// The pipeline's baseline mode uses this so the benchmark can report
-    /// both work counts from the same binary.
+    /// The pipeline never sets this; the sparse-vs-dense differential
+    /// tests do, to check each worklist solver against its dense
+    /// reference.
     pub fn set_dense_dataflow(&mut self, dense: bool) {
         self.dense_dataflow = dense;
     }
@@ -449,14 +450,6 @@ impl FunctionAnalyses {
             &self.dom.as_ref().expect("ensured").1,
             &self.live.as_ref().expect("ensured").1,
         )
-    }
-
-    /// Folds another cache's build and solver-work ledgers into this one
-    /// (used by the pipeline's uncached baseline mode, which runs each
-    /// pass against a throwaway cache but still reports total work).
-    pub fn absorb_builds(&mut self, other: &FunctionAnalyses) {
-        self.builds.add(&other.builds);
-        self.dataflow.add(&other.dataflow);
     }
 }
 

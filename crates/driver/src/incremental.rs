@@ -405,8 +405,8 @@ fn remap_instr(
 /// Digest of the [`PipelineConfig`] fields that can change compiled
 /// output or the replayed report/trace. Scheduling and instrumentation
 /// knobs that are documented output-identical (`threads`,
-/// `validate_each_pass`, `share_analyses`, `reuse_scratch`) are
-/// deliberately excluded so flipping them keeps the cache warm.
+/// `validate_each_pass`, `reuse_scratch`) are deliberately excluded so
+/// flipping them keeps the cache warm.
 pub(crate) fn config_hash(config: &PipelineConfig) -> u64 {
     let mut h = FxHasher::new();
     h.write_u8(match config.analysis {
@@ -434,10 +434,6 @@ pub(crate) fn config_hash(config: &PipelineConfig) -> u64 {
         }
         None => h.write_u8(0),
     }
-    // The dense arm solves constprop without executable-edge precision,
-    // so counters (and in principle rewrites) may differ: keep the arms
-    // in separate cache generations.
-    h.write_u8(config.sparse_dataflow as u8);
     // Entries store the trace-event suffix of the compile that created
     // them; a trace-off entry replayed into a trace-on compile would
     // silently drop remarks.
@@ -510,13 +506,9 @@ mod tests {
         let mut c = base.clone();
         c.threads = Some(7);
         c.validate_each_pass = !c.validate_each_pass;
-        c.share_analyses = !c.share_analyses;
         c.reuse_scratch = !c.reuse_scratch;
         assert_eq!(config_hash(&c), h);
         // Output-affecting knobs miss.
-        let mut c = base.clone();
-        c.sparse_dataflow = false;
-        assert_ne!(config_hash(&c), h);
         let mut c = base.clone();
         c.pointer_promote = true;
         assert_ne!(config_hash(&c), h);

@@ -51,10 +51,9 @@ mod session;
 
 pub use error::Error;
 pub use incremental::{FuncCache, IncrementalReport, DEFAULT_CACHE_BUDGET};
-pub use parallel::{parallel_map, parallel_map_funcs, resolve_threads, WorkerPool};
+pub use parallel::{parallel_map, resolve_threads, WorkerPool};
 pub use pipeline::{
-    run_pipeline, run_pipeline_in, run_pipeline_traced, PassTiming, PassTimings, PipelineConfig,
-    PipelineConfigBuilder, PipelineReport,
+    run_pipeline_in, run_pipeline_traced, PassTiming, PassTimings, PipelineConfig, PipelineReport,
 };
 pub use report::{measure_program, render_figure, MeasurementRow, Metric};
 pub use scratch::PassScratch;

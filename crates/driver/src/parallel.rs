@@ -10,8 +10,8 @@
 //! benchmark suite.
 //!
 //! [`WorkerPool`] fixes the architecture: worker threads are spawned once
-//! (per pipeline run, or once per process for batch drivers that reuse a
-//! pool) and fed through a shared queue guarded by a mutex + condvar.
+//! (per [`crate::Session`], or once per process for batch drivers that
+//! reuse a pool) and fed through a shared queue guarded by a mutex + condvar.
 //! A batch submitted via [`WorkerPool::run`] moves items through the
 //! queue's claim cursor and returns results over an `mpsc` channel — no
 //! per-item locks, no per-item heap slots. The submitting thread drains
@@ -404,17 +404,6 @@ where
             .collect();
     }
     WorkerPool::new(threads.min(items.len())).run(items, f)
-}
-
-/// Fans a per-function transformation out over `funcs` on a throwaway
-/// pool. See [`parallel_map`].
-pub fn parallel_map_funcs<R, F>(funcs: &mut [Function], threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(FuncId, &mut Function) -> R + Sync,
-{
-    let items: Vec<&mut Function> = funcs.iter_mut().collect();
-    parallel_map(items, threads, |i, func| f(FuncId(i as u32), func))
 }
 
 #[cfg(test)]

@@ -7,12 +7,12 @@
 //! early phases and pointer-based promotion after LICM (which hoists the
 //! base addresses it needs).
 //!
-//! The per-function work fans out over a persistent [`WorkerPool`]
-//! (spawned once per pipeline run, or reused across runs via
-//! [`run_pipeline_in`]) in exactly **two** rounds: one for loop
-//! normalization (the whole-module interprocedural analysis needs every
-//! function normalized), then one *fused* round that carries each
-//! function through its entire intra-procedural chain — strengthen →
+//! The per-function work fans out over a caller-provided [`WorkerPool`]
+//! (a [`crate::Session`] owns one and reuses it across every compile) in
+//! exactly **two** rounds: one for loop normalization (the whole-module
+//! interprocedural analysis needs every function normalized), then one
+//! *fused* round that carries each function through its entire
+//! intra-procedural chain — strengthen →
 //! promote → lvn → loadelim → constprop → licm → (pointer-promote) →
 //! lvn(2) → dce → clean → regalloc → clean(final) — with no barrier
 //! between passes. Barriers exist only where whole-module state is
@@ -29,7 +29,7 @@
 //! row carries a `cpu_summed` flag so consumers (and the benchmark
 //! JSON) cannot silently compare the two kinds of number.
 
-use crate::parallel::{resolve_threads, WorkerPool};
+use crate::parallel::WorkerPool;
 use crate::scratch::PassScratch;
 use analysis::{tarjan_sccs, AnalysisLevel, CallGraph};
 use ir::{FuncId, Module};
@@ -41,11 +41,10 @@ use trace::{AllocStats, FuncTrace, TraceLog};
 /// A pipeline configuration — one experimental arm.
 ///
 /// The fields are an implementation detail of the driver: assemble a
-/// configuration with [`PipelineConfig::builder`] (or go through
-/// [`crate::Session::builder`], which wraps the same knobs), and treat
-/// the struct as opaque. The fields remain `pub` for struct-update
-/// syntax in in-tree experiment code but are hidden from the documented
-/// API surface.
+/// configuration with [`crate::Session::builder`], which has one setter
+/// per field, and treat the struct as opaque. The fields remain `pub` for
+/// struct-update syntax in in-tree experiment code but are hidden from the
+/// documented API surface.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Interprocedural analysis precision.
@@ -82,28 +81,13 @@ pub struct PipelineConfig {
     /// sequential path. The compiled output is identical either way.
     #[doc(hidden)]
     pub threads: Option<usize>,
-    /// Share one [`cfg::FunctionAnalyses`] cache per function across the
-    /// whole pass chain (the normal mode). `false` gives every stage a
-    /// throwaway cache — the rebuild-per-pass behaviour the pipeline had
-    /// before the cache existed — and exists so benchmarks can report an
-    /// honest uncached baseline for the analysis-build counters. Output is
-    /// identical either way.
-    #[doc(hidden)]
-    pub share_analyses: bool,
-    /// Use the sparse worklist dataflow solvers (the normal mode). `false`
-    /// selects the dense full-resweep solvers everywhere — constprop loses
-    /// its conditional (executable-edge) precision and every fixpoint
-    /// reverts to whole-function sweeps — and exists so the benchmark can
-    /// report the dense baseline's work counters from the same binary.
-    #[doc(hidden)]
-    pub sparse_dataflow: bool,
     /// Reuse the pool's per-worker [`PassScratch`] arenas across functions
     /// (the normal mode): every pass's dense side tables, worklists, and
     /// rewrite buffers stay warm, so the steady-state fused chain allocates
-    /// almost nothing. `false` builds a fresh arena for every function —
-    /// the allocation behaviour the pipeline had before the arenas existed —
-    /// and exists so the benchmark can report an honest `alloc_stats_fresh`
-    /// baseline column. Output is byte-identical either way.
+    /// almost nothing. `false` builds a fresh arena for every function and
+    /// is the fresh-arena oracle of the scratch differential test: it
+    /// proves no pass leaks state between functions through a reused
+    /// arena. Output is byte-identical either way.
     #[doc(hidden)]
     pub reuse_scratch: bool,
     /// Collect structured optimization remarks and per-pass deltas into a
@@ -125,8 +109,6 @@ impl Default for PipelineConfig {
             regalloc: Some(AllocOptions::default()),
             validate_each_pass: cfg!(debug_assertions),
             threads: None,
-            share_analyses: true,
-            sparse_dataflow: true,
             reuse_scratch: true,
             trace: false,
         }
@@ -134,12 +116,6 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Starts a builder from the default configuration — the intended way
-    /// to assemble a non-default config without poking public fields.
-    pub fn builder() -> PipelineConfigBuilder {
-        PipelineConfigBuilder::default()
-    }
-
     /// One of the paper's four measured variants: `{modref, pointer}` ×
     /// `{without, with}` promotion.
     pub fn paper_variant(analysis: AnalysisLevel, promote: bool) -> Self {
@@ -173,112 +149,6 @@ impl PipelineConfig {
                 PipelineConfig::paper_variant(AnalysisLevel::PointsTo, true),
             ),
         ]
-    }
-}
-
-/// Fluent builder for [`PipelineConfig`], starting from the defaults.
-///
-/// ```
-/// use driver::PipelineConfig;
-/// use analysis::AnalysisLevel;
-///
-/// let config = PipelineConfig::builder()
-///     .analysis(AnalysisLevel::PointsTo)
-///     .pointer_promote(true)
-///     .trace(true)
-///     .build();
-/// assert!(config.promote); // untouched fields keep their defaults
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PipelineConfigBuilder {
-    config: PipelineConfig,
-}
-
-impl PipelineConfigBuilder {
-    /// Starts the builder from an existing configuration instead of the
-    /// defaults.
-    pub fn from_config(config: PipelineConfig) -> Self {
-        PipelineConfigBuilder { config }
-    }
-
-    /// Sets the interprocedural analysis precision.
-    pub fn analysis(mut self, level: AnalysisLevel) -> Self {
-        self.config.analysis = level;
-        self
-    }
-
-    /// Enables or disables scalar register promotion (§3.1).
-    pub fn promote(mut self, on: bool) -> Self {
-        self.config.promote = on;
-        self
-    }
-
-    /// Enables or disables pointer-based promotion (§3.3).
-    pub fn pointer_promote(mut self, on: bool) -> Self {
-        self.config.pointer_promote = on;
-        self
-    }
-
-    /// Sets the per-loop promotion pressure cap (`None` = unthrottled).
-    pub fn promotion_cap(mut self, cap: Option<usize>) -> Self {
-        self.config.promotion_cap = cap;
-        self
-    }
-
-    /// Enables or disables the scalar optimizer.
-    pub fn optimize(mut self, on: bool) -> Self {
-        self.config.optimize = on;
-        self
-    }
-
-    /// Sets register-allocation parameters (`None` leaves virtual
-    /// registers).
-    pub fn regalloc(mut self, opts: Option<AllocOptions>) -> Self {
-        self.config.regalloc = opts;
-        self
-    }
-
-    /// Enables or disables module validation at the fan-out barriers.
-    pub fn validate_each_pass(mut self, on: bool) -> Self {
-        self.config.validate_each_pass = on;
-        self
-    }
-
-    /// Sets the worker-thread count (`None` = environment/default).
-    pub fn threads(mut self, threads: Option<usize>) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Enables or disables the shared per-function analysis cache.
-    pub fn share_analyses(mut self, on: bool) -> Self {
-        self.config.share_analyses = on;
-        self
-    }
-
-    /// Selects sparse worklist (`true`, the default) or dense resweep
-    /// (`false`) dataflow solvers.
-    pub fn sparse_dataflow(mut self, on: bool) -> Self {
-        self.config.sparse_dataflow = on;
-        self
-    }
-
-    /// Enables or disables cross-function reuse of the per-worker pass
-    /// scratch arenas.
-    pub fn reuse_scratch(mut self, on: bool) -> Self {
-        self.config.reuse_scratch = on;
-        self
-    }
-
-    /// Enables or disables structured trace collection.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.config.trace = on;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> PipelineConfig {
-        self.config
     }
 }
 
@@ -380,9 +250,7 @@ pub struct PipelineReport {
     pub analysis_builds: cfg::BuildCounts,
     /// Solver work performed by every fixpoint dataflow problem in the
     /// run (liveness, constprop, loadelim, DCE marking, points-to):
-    /// blocks visited, transfer evaluations, worklist pushes. The sparse
-    /// and dense modes report through the same counters, so the benchmark
-    /// can print both from the same binary.
+    /// blocks visited, transfer evaluations, worklist pushes.
     pub dataflow_stats: cfg::DataflowStats,
     /// What the incremental cache did this compile — `Some` only when the
     /// run went through a [`crate::Session`] built with
@@ -469,25 +337,6 @@ impl StageClock {
     }
 }
 
-/// Runs one chain stage against the shared cache, or — in the benchmark's
-/// uncached baseline mode — against a throwaway cache whose build ledger
-/// is still folded into the shared one.
-fn stage<R>(
-    analyses: &mut cfg::FunctionAnalyses,
-    share: bool,
-    f: impl FnOnce(&mut cfg::FunctionAnalyses) -> R,
-) -> R {
-    if share {
-        f(analyses)
-    } else {
-        let mut throwaway = cfg::FunctionAnalyses::new();
-        throwaway.set_dense_dataflow(analyses.dense_dataflow());
-        let r = f(&mut throwaway);
-        analyses.absorb_builds(&throwaway);
-        r
-    }
-}
-
 /// Mid-chain loop renormalization with the trace's stats cache kept
 /// coherent: when renormalization actually changes the body (landing-pad
 /// / preheader insertion, unreachable-block removal), the change is
@@ -538,46 +387,33 @@ fn run_fused_chain(
     scratch: &mut PassScratch,
     tr: &mut FuncTrace,
 ) -> FuncOutcome {
-    let share = config.share_analyses;
     let mut clock = StageClock::new();
     let mut o = FuncOutcome {
         strengthened: clock.timed("strengthen", || {
-            stage(analyses, share, |fa| {
-                opt::strengthen_function_traced(tags, func, fid, recursive, fa, tr)
-            })
+            opt::strengthen_function_traced(tags, func, fid, recursive, analyses, tr)
         }),
         ..Default::default()
     };
     if config.promote {
         let cap = config.promotion_cap;
         o.scalar = clock.timed("promote", || {
-            stage(analyses, share, |fa| {
-                normalize_in_traced(func, fa, tr);
-                promote::promote_scalars_in_func_traced(tags, func, fid, recursive, cap, fa, tr)
-            })
+            normalize_in_traced(func, analyses, tr);
+            promote::promote_scalars_in_func_traced(tags, func, fid, recursive, cap, analyses, tr)
         });
     }
     if config.optimize {
         o.lvn_rewrites += clock.timed("lvn", || {
-            stage(analyses, share, |fa| {
-                opt::lvn_function_traced(func, fa, &mut scratch.opt.lvn, tr)
-            })
+            opt::lvn_function_traced(func, analyses, &mut scratch.opt.lvn, tr)
         });
         o.loads_eliminated = clock.timed("loadelim", || {
-            stage(analyses, share, |fa| {
-                opt::loadelim_function_traced(func, fa, &mut scratch.opt.loadelim, tr)
-            })
+            opt::loadelim_function_traced(func, analyses, &mut scratch.opt.loadelim, tr)
         });
         o.constants_folded = clock.timed("constprop", || {
-            stage(analyses, share, |fa| {
-                opt::constprop_function_traced(func, fa, &mut scratch.opt.constprop, tr)
-            })
+            opt::constprop_function_traced(func, analyses, &mut scratch.opt.constprop, tr)
         });
         o.licm_moved = clock.timed("licm", || {
-            stage(analyses, share, |fa| {
-                normalize_in_traced(func, fa, tr);
-                opt::licm_function_traced(func, fa, &mut scratch.opt.licm, tr)
-            })
+            normalize_in_traced(func, analyses, tr);
+            opt::licm_function_traced(func, analyses, &mut scratch.opt.licm, tr)
         });
     }
     if config.pointer_promote {
@@ -585,27 +421,19 @@ fn run_fused_chain(
         // case earlier folding perturbed loop shapes (a no-op — and zero
         // rebuilds — when they did not).
         o.pointer = clock.timed("pointer-promote", || {
-            stage(analyses, share, |fa| {
-                normalize_in_traced(func, fa, tr);
-                promote::promote_pointers_in_func_traced(func, fa, tr)
-            })
+            normalize_in_traced(func, analyses, tr);
+            promote::promote_pointers_in_func_traced(func, analyses, tr)
         });
     }
     if config.optimize {
         o.lvn_rewrites += clock.timed("lvn(2)", || {
-            stage(analyses, share, |fa| {
-                opt::lvn_function_traced(func, fa, &mut scratch.opt.lvn, tr)
-            })
+            opt::lvn_function_traced(func, analyses, &mut scratch.opt.lvn, tr)
         });
         o.dce_removed = clock.timed("dce", || {
-            stage(analyses, share, |fa| {
-                opt::dce_function_traced(func, fa, &mut scratch.opt.dce, tr)
-            })
+            opt::dce_function_traced(func, analyses, &mut scratch.opt.dce, tr)
         });
         o.cleaned += clock.timed("clean", || {
-            stage(analyses, share, |fa| {
-                opt::clean_function_traced(func, fa, &mut scratch.opt.clean, tr)
-            })
+            opt::clean_function_traced(func, analyses, &mut scratch.opt.clean, tr)
         });
     }
     if let Some(opts) = &config.regalloc {
@@ -615,18 +443,16 @@ fn run_fused_chain(
         // exact tag table (ids and names) of a sequential run.
         let r = clock.timed("regalloc", || {
             let mut pending = Vec::new();
-            let r = stage(analyses, share, |fa| {
-                regalloc::allocate_function_core_traced(
-                    tags,
-                    func,
-                    fid,
-                    opts,
-                    &mut pending,
-                    fa,
-                    &mut scratch.alloc,
-                    tr,
-                )
-            });
+            let r = regalloc::allocate_function_core_traced(
+                tags,
+                func,
+                fid,
+                opts,
+                &mut pending,
+                analyses,
+                &mut scratch.alloc,
+                tr,
+            );
             (r, pending)
         });
         o.alloc = Some(r);
@@ -634,9 +460,7 @@ fn run_fused_chain(
             // Block cleaning is tag-agnostic, so it can run before the
             // provisional spill tags are interned.
             o.cleaned += clock.timed("clean(final)", || {
-                stage(analyses, share, |fa| {
-                    opt::clean_function_traced(func, fa, &mut scratch.opt.clean, tr)
-                })
+                opt::clean_function_traced(func, analyses, &mut scratch.opt.clean, tr)
             });
         }
     }
@@ -644,20 +468,13 @@ fn run_fused_chain(
     o
 }
 
-/// Runs the configured pipeline over `module` in place, on a worker pool
-/// spawned for this run and shut down when it returns.
-pub fn run_pipeline(module: &mut Module, config: &PipelineConfig) -> PipelineReport {
-    let pool = WorkerPool::new(resolve_threads(config.threads));
-    run_pipeline_in(module, config, &pool)
-}
-
 /// Runs the configured pipeline over `module` in place, fanning the
 /// per-function work out over a caller-provided [`WorkerPool`]. Batch
 /// drivers (benchmarks, servers compiling many modules) should create one
 /// pool and reuse it across runs; the pool's worker count is what
 /// determines the parallelism (`config.threads` is only consulted by
-/// [`run_pipeline`], which builds the pool). The compiled output is
-/// byte-identical for every pool size.
+/// [`crate::Session`], which sizes its pool from it). The compiled output
+/// is byte-identical for every pool size.
 pub fn run_pipeline_in(
     module: &mut Module,
     config: &PipelineConfig,
@@ -721,9 +538,6 @@ pub(crate) fn run_pipeline_core(
             .map(|_| cfg::FunctionAnalyses::new())
             .collect()
     };
-    for fa in &mut analyses {
-        fa.set_dense_dataflow(!config.sparse_dataflow);
-    }
     // One trace buffer per function, alive across every round that touches
     // the function, so each function's events arrive in chain order.
     let mut traces: Vec<FuncTrace> = module
@@ -746,9 +560,7 @@ pub(crate) fn run_pipeline_core(
             .collect();
         pool.run(items, |_, ((f, fa), tr)| {
             let before = tr.enabled().then(|| f.body_stats());
-            stage(fa, config.share_analyses, |fa| {
-                cfg::normalize_loops_in(f, fa)
-            });
+            cfg::normalize_loops_in(f, fa);
             if let Some(before) = before {
                 let after = f.body_stats();
                 let (i, l, s) = before.delta(&after);
@@ -761,11 +573,10 @@ pub(crate) fn run_pipeline_core(
     });
     validate_if(module, v, "normalize");
     let outcome = timed(&mut timings, "analysis", || {
-        analysis::analyze_traced_with(
+        analysis::analyze_traced(
             module,
             config.analysis,
             config.trace.then_some(traces.as_mut_slice()),
-            !config.sparse_dataflow,
         )
     });
     report.analysis_stats = Some(outcome.stats);
@@ -1027,13 +838,17 @@ int main() {
 
     #[test]
     fn unoptimized_pipeline_still_runs() {
-        let config = PipelineConfig::builder()
+        let c = Session::builder()
             .optimize(false)
             .promote(false)
             .regalloc(None)
-            .build();
-        let (out, _) = run(config);
-        assert_eq!(out.output, vec!["124750", "500"]);
+            .build()
+            .compile_and_run(PROGRAM)
+            .expect("compile and run");
+        assert_eq!(
+            c.outcome.expect("outcome populated").output,
+            vec!["124750", "500"]
+        );
     }
 
     #[test]

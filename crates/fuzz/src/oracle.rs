@@ -7,9 +7,9 @@
 //! * **reference** — the `-O0` arm: no optimizer, no promotion, no
 //!   allocator. Its output/exit code is ground truth.
 //! * **behavioral arms** — default pipeline, points-to + pointer
-//!   promotion, dense dataflow, fresh scratch arenas, fresh front end,
-//!   the `minic::classic` front end, and a register-starved allocator:
-//!   each must reproduce the reference output and exit code exactly.
+//!   promotion, fresh scratch arenas, the `minic::classic` front end,
+//!   and a register-starved allocator: each must reproduce the reference
+//!   output and exit code exactly.
 //! * **determinism arms** — worker counts 2 and 8 must produce
 //!   bit-identical IL (compared as rendered text) and identical dynamic
 //!   counts to the single-threaded default arm.
@@ -42,12 +42,8 @@ pub enum Arm {
     Default,
     /// Points-to analysis plus pointer promotion.
     Pointer,
-    /// Dense (resweep) dataflow solvers.
-    Dense,
     /// Scratch-arena reuse disabled.
     FreshScratch,
-    /// Fresh front end per compile (no warm interner).
-    FreshFrontend,
     /// The `minic::classic` (String/Box) front end feeding the same
     /// pipeline.
     Classic,
@@ -70,9 +66,7 @@ impl Arm {
             Arm::Reference => "reference",
             Arm::Default => "default",
             Arm::Pointer => "pointer",
-            Arm::Dense => "dense",
             Arm::FreshScratch => "fresh-scratch",
-            Arm::FreshFrontend => "fresh-frontend",
             Arm::Classic => "classic",
             Arm::Workers2 => "workers2",
             Arm::Workers8 => "workers8",
@@ -213,16 +207,8 @@ impl Oracle {
                 ),
             },
             ConfiguredArm {
-                arm: Arm::Dense,
-                session: single(Session::builder().sparse_dataflow(false)),
-            },
-            ConfiguredArm {
                 arm: Arm::FreshScratch,
                 session: single(Session::builder().reuse_scratch(false)),
-            },
-            ConfiguredArm {
-                arm: Arm::FreshFrontend,
-                session: single(Session::builder().reuse_frontend(false)),
             },
             ConfiguredArm {
                 arm: Arm::TightRegs,

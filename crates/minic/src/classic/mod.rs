@@ -2,18 +2,12 @@
 //!
 //! This is the front end as it stood before symbols, spans, and arena
 //! pools: tokens own `String` identifiers, the AST is `Box`-based, and
-//! every compile allocates its world from scratch. It exists for two
-//! reasons:
-//!
-//! 1. **Honest baselines.** `bench_pipeline --fresh-frontend` and the
-//!    `frontend_alloc_stats_fresh` block measure this path, so the
-//!    warm-vs-fresh allocation ratio compares against real historical
-//!    behavior rather than a synthetic strawman (the same methodology as
-//!    the `--no-scratch` pass baseline).
-//! 2. **Differential testing.** The interned front end must produce
-//!    byte-identical printed IL to this one for every program; the
-//!    `frontend_differential` test enforces that across the benchmark
-//!    suite.
+//! every compile allocates its world from scratch. It exists as the
+//! differential-testing reference: the interned front end must produce
+//! byte-identical printed IL to this one for every program. The
+//! `frontend_differential` test enforces that across the benchmark
+//! suite, and the fuzzer's `classic` oracle arm on every generated
+//! program.
 //!
 //! The module shares [`crate::error::FrontError`] and [`crate::token::Pos`]
 //! with the live front end so results compare directly. It receives no new

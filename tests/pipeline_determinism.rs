@@ -6,7 +6,7 @@
 //! spill tags are committed in function-index order — so it is checked
 //! across the whole benchmark suite at every figure variant.
 
-use driver::{PipelineConfig, PipelineReport};
+use driver::{PipelineConfig, PipelineReport, WorkerPool};
 
 fn counters(r: &PipelineReport) -> (usize, String, usize, usize, usize, usize, usize, usize) {
     (
@@ -23,22 +23,16 @@ fn counters(r: &PipelineReport) -> (usize, String, usize, usize, usize, usize, u
 
 #[test]
 fn parallel_pipeline_matches_sequential_everywhere() {
+    let sequential = WorkerPool::new(1);
+    let parallel = [2usize, 8].map(|workers| (workers, WorkerPool::new(workers)));
     for b in benchsuite::SUITE {
         let base = minic::compile(b.source).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         for (label, config) in PipelineConfig::figure_variants() {
-            let sequential = PipelineConfig {
-                threads: Some(1),
-                ..config.clone()
-            };
             let mut m_seq = base.clone();
-            let r_seq = driver::run_pipeline(&mut m_seq, &sequential);
-            for workers in [2usize, 8] {
-                let parallel = PipelineConfig {
-                    threads: Some(workers),
-                    ..config.clone()
-                };
+            let r_seq = driver::run_pipeline_in(&mut m_seq, &config, &sequential);
+            for (workers, pool) in &parallel {
                 let mut m_par = base.clone();
-                let r_par = driver::run_pipeline(&mut m_par, &parallel);
+                let r_par = driver::run_pipeline_in(&mut m_par, &config, pool);
                 assert_eq!(
                     m_seq.to_string(),
                     m_par.to_string(),
@@ -68,7 +62,7 @@ fn remark_streams_are_identical_across_worker_counts() {
         let base = minic::compile(b.source).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let mut reference: Option<String> = None;
         for workers in [1usize, 2, 8] {
-            let pool = driver::WorkerPool::new(workers);
+            let pool = WorkerPool::new(workers);
             let config = PipelineConfig {
                 threads: Some(workers),
                 trace: true,
@@ -98,21 +92,14 @@ fn env_override_is_equivalent_to_explicit() {
     assert_eq!(driver::resolve_threads(Some(6)), 6);
     let b = &benchsuite::SUITE[0];
     let base = minic::compile(b.source).expect("compile");
+    let config = PipelineConfig::default();
     let mut with_auto = base.clone();
-    driver::run_pipeline(
+    driver::run_pipeline_in(
         &mut with_auto,
-        &PipelineConfig {
-            threads: None,
-            ..Default::default()
-        },
+        &config,
+        &WorkerPool::new(driver::resolve_threads(None)),
     );
     let mut with_one = base.clone();
-    driver::run_pipeline(
-        &mut with_one,
-        &PipelineConfig {
-            threads: Some(1),
-            ..Default::default()
-        },
-    );
+    driver::run_pipeline_in(&mut with_one, &config, &WorkerPool::new(1));
     assert_eq!(with_auto.to_string(), with_one.to_string());
 }
