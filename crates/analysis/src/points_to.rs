@@ -116,7 +116,7 @@ pub fn analyze(module: &Module) -> PointsTo {
 /// are re-swept. A function also re-sweeps itself while its own register
 /// sets are still growing (intra-function chains and loops). With
 /// `dense = true` it is the old round-robin sweep of every instruction in
-/// the module until nothing changes — the benchmark's measured baseline.
+/// the module until nothing changes — the differential tests' reference.
 pub fn analyze_with(module: &Module, dense: bool, stats: &mut DataflowStats) -> PointsTo {
     let nf = module.funcs.len();
     let nt = module.tags.len();

@@ -4,13 +4,14 @@
 //!
 //! | binary | regenerates |
 //! |--------|-------------|
-//! | `figure5` | Figure 5 — total operations |
-//! | `figure6` | Figure 6 — stores executed |
-//! | `figure7` | Figure 7 — loads executed |
-//! | `figures` | all three figures in one run |
+//! | `figures` | Figures 5, 6 and 7 — total operations, stores, loads |
 //! | `pointer_promotion_report` | §3.3's scalar-vs-pointer-based comparison |
 //! | `anomalies` | the dhrystone / bison / water degradation stories |
 //! | `ablation` | analysis-precision ablation (extension) |
+//! | `pressure_ablation` | pressure-aware promotion cap sweep (extension) |
+//!
+//! Each writes its table to stdout; the committed copies live in
+//! `results/`, and CI fails if a regenerated table differs.
 
 #![warn(missing_docs)]
 

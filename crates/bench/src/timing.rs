@@ -43,6 +43,39 @@ pub fn measure(iters: usize, mut f: impl FnMut()) -> Measurement {
     }
 }
 
+/// Times `a` and `b` in alternation for `iters` rounds (after one untimed
+/// warmup call of each), so slow drift in machine state — frequency
+/// scaling, a neighbour's load — lands on both sides equally instead of
+/// on whichever block happened to run during it.
+pub fn measure_alternating(
+    iters: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (Measurement, Measurement) {
+    a();
+    b();
+    let (mut min_a, mut min_b) = (Duration::MAX, Duration::MAX);
+    let (mut total_a, mut total_b) = (Duration::ZERO, Duration::ZERO);
+    for _ in 0..iters {
+        let start = Instant::now();
+        a();
+        let dt = start.elapsed();
+        total_a += dt;
+        min_a = min_a.min(dt);
+        let start = Instant::now();
+        b();
+        let dt = start.elapsed();
+        total_b += dt;
+        min_b = min_b.min(dt);
+    }
+    let summary = |min, total: Duration| Measurement {
+        min,
+        mean: total / iters as u32,
+        iters,
+    };
+    (summary(min_a, total_a), summary(min_b, total_b))
+}
+
 /// Measures `f` with [`DEFAULT_ITERS`] iterations and prints one
 /// criterion-style result line.
 pub fn time_case(label: &str, f: impl FnMut()) -> Measurement {
@@ -65,5 +98,18 @@ mod tests {
         assert_eq!(calls, 6, "warmup + 5 timed iterations");
         assert_eq!(m.iters, 5);
         assert!(m.min <= m.mean);
+    }
+
+    #[test]
+    fn measure_alternating_interleaves_the_two_sides() {
+        let order = std::cell::RefCell::new(String::new());
+        let (a, b) = measure_alternating(
+            3,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(order.into_inner(), "abababab", "warmup pair + 3 rounds");
+        assert_eq!((a.iters, b.iters), (3, 3));
+        assert!(a.min <= a.mean && b.min <= b.mean);
     }
 }

@@ -15,8 +15,9 @@
 //! client solver, which keeps each solver's inner loop free of dynamic
 //! dispatch. What the engine does own is the [`DataflowStats`] ledger —
 //! blocks visited, transfer evaluations, worklist pushes — which the
-//! pipeline threads into `BENCH_pipeline.json` so a solver regressing to
-//! dense-sweep behavior shows up as a counter jump, not a vague slowdown.
+//! pipeline reports in `PipelineReport::dataflow_stats` and a test bounds
+//! across the benchmark suite, so a solver regressing to dense-sweep
+//! behavior shows up as a counter jump, not a vague slowdown.
 
 use crate::graph::Cfg;
 use ir::BlockId;

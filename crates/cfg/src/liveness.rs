@@ -9,7 +9,7 @@
 //! empty, which keeps the result the exact least fixpoint (a warm-started
 //! boundary set could carry stale bits around a loop forever). The old
 //! dense iterate-to-fixpoint sweep survives as [`liveness_dense`] — the
-//! benchmark's baseline and the differential tests' oracle.
+//! differential tests' oracle.
 
 use crate::dataflow::{BlockWorklist, DataflowStats, Direction};
 use crate::graph::Cfg;

@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// `std::thread::available_parallelism()`.
 ///
 /// This is the *only* place `PROMO_THREADS` is read; see the README's
-/// "Pipeline wall-clock benchmark" section for the user-facing semantics.
+/// "Worker pool" section for the user-facing semantics.
 pub fn resolve_threads(threads: Option<usize>) -> usize {
     if let Some(n) = threads {
         return n.max(1);

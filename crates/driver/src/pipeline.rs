@@ -26,8 +26,8 @@
 //! aggregated by pass name into [`PassTimings`]; for fused passes the
 //! reported time is the summed per-function time (CPU time across
 //! workers), not the barrier-to-barrier wall time. Each [`PassTiming`]
-//! row carries a `cpu_summed` flag so consumers (and the benchmark
-//! JSON) cannot silently compare the two kinds of number.
+//! row carries a `cpu_summed` flag so consumers cannot silently compare
+//! the two kinds of number.
 
 use crate::parallel::WorkerPool;
 use crate::scratch::PassScratch;
@@ -170,7 +170,7 @@ pub struct PassTiming {
     pub cpu_summed: bool,
     /// Allocator traffic charged to this pass (calls and bytes). Real
     /// numbers only in binaries that install [`trace::CountingAlloc`] as
-    /// the global allocator (the benchmark, the allocation-budget test);
+    /// the global allocator (`perfbench`, the allocation-budget test);
     /// all zeros everywhere else. Counters are process-wide, so on
     /// multi-threaded runs a fused pass's figure includes whatever the
     /// other workers allocated during its window — exact on

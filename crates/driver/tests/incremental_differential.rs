@@ -286,3 +286,50 @@ fn optimize_entry_point_uses_the_cache_without_hints() {
     assert_eq!(incr.funcs_recompiled, 0, "{incr:?}");
     assert_eq!(m1.to_string(), m2.to_string());
 }
+
+/// Most functions the suite's warm edit may recompile: the edit changes
+/// one function body and no MOD/REF summary, so exactly that function
+/// misses.
+const MAX_RECOMPILED_FUNCS: usize = 1;
+/// Least cache hit rate of the warm edit: the two untouched functions of
+/// `compress` must splice from the cache (2 of 3 is 0.667; the floor
+/// allows rounding, nothing else).
+const MIN_CACHE_HIT_RATE: f64 = 0.6;
+
+#[test]
+fn suite_warm_edit_recompiles_only_the_edited_function() {
+    let pair = benchsuite::warm_edit_pair();
+    let warm = Session::builder()
+        .threads(Some(1))
+        .incremental(true)
+        .build();
+    warm.compile(pair.base).expect("base compiles warm");
+    let c = warm.compile(&pair.edited).expect("edit compiles warm");
+    let incr = c.report.incremental.as_ref().expect("cache activity");
+    println!(
+        "warm edit of {}: {} of {} functions recompiled, hit rate {:.3}",
+        pair.name,
+        incr.funcs_recompiled,
+        incr.funcs_total,
+        incr.hit_rate()
+    );
+    assert!(
+        incr.funcs_recompiled <= MAX_RECOMPILED_FUNCS,
+        "invalidation went coarse — a one-function body edit must not \
+         ripple into its callers: {incr:?}"
+    );
+    assert!(
+        incr.hit_rate() >= MIN_CACHE_HIT_RATE,
+        "fingerprints missed on unchanged functions: {incr:?}"
+    );
+    let cold = Session::builder()
+        .threads(Some(1))
+        .build()
+        .compile(&pair.edited)
+        .expect("edit compiles cold");
+    assert_eq!(
+        c.module.to_string(),
+        cold.module.to_string(),
+        "the warm splice diverged from a cold compile"
+    );
+}

@@ -10,7 +10,7 @@
 //! first becomes live, the operands of its pure definitions are marked and
 //! queued, so each definition's use list is walked once instead of once
 //! per dense fixpoint sweep. The old full-resweep propagation survives as
-//! the benchmark's dense baseline.
+//! the differential tests' dense reference.
 
 use cfg::{DataflowStats, FunctionAnalyses};
 use ir::{Function, Module, Reg};

@@ -1,11 +1,11 @@
 //! A counting global allocator for allocation-budget measurement.
 //!
 //! The zero-allocation hot loop is a *measured* property, not an aspired
-//! one: the benchmark binary (and the allocation-regression test) install
+//! one: the allocation-budget test and `perfbench` install
 //! [`CountingAlloc`] as `#[global_allocator]` and read the counters
 //! around the pipeline's steady-state compile. The counters are plain
-//! statics, so code that reports them (e.g. the benchmark's per-phase
-//! tables) links and runs unchanged even in binaries that did *not*
+//! statics, so code that reports them (e.g. the per-pass `allocs` of
+//! `PassTiming`) links and runs unchanged even in binaries that did *not*
 //! install the probe — everything just reads zero there.
 //!
 //! The probe counts every `alloc`/`realloc` call and its requested bytes;

@@ -12,8 +12,9 @@
 //!
 //! Objects are flat (string or integer values only), so the in-tree parser
 //! is a few dozen lines and needs no external crates. Unknown keys are
-//! ignored on read, so consumers may annotate lines (the benchmark artifact
-//! prefixes function names instead, keeping round-trips exact).
+//! ignored on read, so consumers may annotate lines (the committed
+//! `BENCH_remarks.jsonl` prefixes function names instead, keeping
+//! round-trips exact).
 
 use crate::event::{BlockReason, LoopRef, PassEvent, Remark, TraceRecord};
 use std::collections::BTreeMap;

@@ -24,7 +24,7 @@ fn counters(r: &PipelineReport) -> (usize, String, usize, usize, usize, usize, u
 #[test]
 fn parallel_pipeline_matches_sequential_everywhere() {
     let sequential = WorkerPool::new(1);
-    let parallel = [2usize, 8].map(|workers| (workers, WorkerPool::new(workers)));
+    let parallel = [2usize, 4, 8].map(|workers| (workers, WorkerPool::new(workers)));
     for b in benchsuite::SUITE {
         let base = minic::compile(b.source).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         for (label, config) in PipelineConfig::figure_variants() {

@@ -2,7 +2,9 @@
 //! the [`driver::Session`] API with tracing enabled must explain, per
 //! loop and per tag, what promotion did and why it declined — and the
 //! trace must be observation-only (identical IL with tracing on or off)
-//! and round-trip exactly through its JSONL serialization.
+//! and round-trip exactly through its JSONL serialization. The whole
+//! suite's remark stream is pinned byte for byte by the committed
+//! `BENCH_remarks.jsonl`.
 
 use driver::Session;
 use trace::{BlockReason, Remark, TraceLog};
@@ -206,4 +208,50 @@ fn disabled_tracing_is_silent_and_changes_nothing() {
         untraced.module.to_string(),
         "tracing must be observation-only"
     );
+}
+
+/// The suite's concatenated remark stream (function names prefixed
+/// `program::`) is byte-identical to the committed `BENCH_remarks.jsonl`,
+/// and tracing leaves every suite program's IL untouched. On a mismatch
+/// the actual stream is written under the test's scratch directory so it
+/// can be diffed against, or copied over, the committed file.
+#[test]
+fn suite_remark_stream_matches_the_committed_record() {
+    let traced = Session::builder().threads(Some(1)).trace(true).build();
+    let untraced = Session::builder().threads(Some(1)).build();
+    let mut jsonl = String::new();
+    for b in benchsuite::SUITE {
+        let t = traced
+            .compile(b.source)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        let u = untraced
+            .compile(b.source)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        assert_eq!(
+            t.module.to_string(),
+            u.module.to_string(),
+            "{}: tracing must be observation-only",
+            b.name
+        );
+        let mut log = t.trace;
+        log.prefix_funcs(b.name);
+        jsonl.push_str(&log.to_jsonl());
+    }
+    let committed = include_str!("../BENCH_remarks.jsonl");
+    if jsonl != committed {
+        let actual = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("BENCH_remarks.jsonl");
+        std::fs::write(&actual, &jsonl).expect("write the actual remark stream");
+        let line = jsonl
+            .lines()
+            .zip(committed.lines())
+            .position(|(a, c)| a != c)
+            .map_or("past the shorter stream's end".to_string(), |i| {
+                format!("at line {}", i + 1)
+            });
+        panic!(
+            "the suite's remark stream differs from BENCH_remarks.jsonl {line}; \
+             the actual stream is at {}",
+            actual.display()
+        );
+    }
 }
