@@ -19,23 +19,32 @@
 //! * the output-affecting [`crate::PipelineConfig`] fields, and
 //! * whether the function sits on a call-graph cycle.
 //!
-//! On a hit the cached function body is *spliced* back into the module:
-//! tag and function ids are re-resolved by name against the current
-//! module (ids shift when the edit added or removed definitions), the
-//! cached chain counters and remark events are replayed, and the cached
-//! pending spill tags rejoin the sequential function-index-order commit —
-//! so a warm compile's module, report counters, and remark stream are
-//! byte-identical to a cold compile's. Only fingerprint misses go through
-//! the chain, and the worker pool fans out over exactly that residual
-//! set.
+//! On a hit the cached function body is *spliced* back into the module.
+//! When every cached tag and function id still names the same definition
+//! the body is cloned as is; when the edit added or removed definitions
+//! ahead of it, ids are re-resolved by name through a [`SpliceIndex`]
+//! built once per compile. The cached chain counters and remark events
+//! are replayed, and the cached pending spill tags rejoin the sequential
+//! function-index-order commit — so a warm compile's module, report
+//! counters, and remark stream are byte-identical to a cold compile's.
+//! Only fingerprint misses go through the chain, and the worker pool fans
+//! out over exactly that residual set.
+//!
+//! The per-compile cost is meant to be about the number of tags plus the
+//! number of tag-set members, each a plain word operation: the facts hash
+//! folds one precomputed [`TagDigests`] word per member, an identity
+//! splice compares each cached name once, and a store dedups the
+//! referenced tags in a bitmap, joining spilled sets word-wise. After
+//! MOD/REF analysis, set members can outnumber instructions ten to one,
+//! so no per-member step may hash a string, sort, or search.
 //!
 //! Entries are evicted least-recently-used when the cache exceeds its
 //! byte budget ([`crate::SessionBuilder::cache_budget`]).
 
 use crate::pipeline::{FuncOutcome, PipelineConfig};
 use analysis::AnalysisLevel;
-use ir::hash::{body_hash, fx_mix, FxHasher};
-use ir::{DenseTagSet, Function, Instr, Module, TagId, TagSet};
+use ir::hash::{body_hash, facts_hash, fx_mix, FxHasher, TagDigests};
+use ir::{BlockId, DenseTagSet, FuncId, Function, Instr, Module, Reg, TagId, TagSet};
 use regalloc::PROVISIONAL_SPILL_BASE;
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -178,32 +187,31 @@ impl FuncCache {
         self.entries.get(name).map(|e| e.h_body)
     }
 
-    /// Attempts a cache hit for function `fi` of `module`: the entry must
-    /// exist under the function's name, carry fingerprint `fp`, and every
-    /// tag and function name it references must resolve in the current
-    /// module. On success the cached body (ids remapped) replaces
-    /// `module.funcs[fi]` and the chain outcome plus trace-event suffix
-    /// are returned; any failure is reported as `None` (a plain miss).
+    /// Attempts a cache hit for function `fi` of the index's module: the
+    /// entry must exist under the function's name, carry fingerprint
+    /// `fp`, and every tag and function name it references must resolve
+    /// in the module. On success returns the cached body (ids remapped)
+    /// for the caller to install as `module.funcs[fi]`, plus the chain
+    /// outcome and trace-event suffix; any failure is reported as `None`
+    /// (a plain miss).
     pub(crate) fn splice(
         &mut self,
-        module: &mut Module,
+        index: &mut SpliceIndex<'_>,
         fi: usize,
         fp: u64,
-    ) -> Option<(FuncOutcome, Vec<PassEvent>)> {
+    ) -> Option<(Function, FuncOutcome, Vec<PassEvent>)> {
         let tick = self.tick;
-        let entry = self.entries.get_mut(&module.funcs[fi].name)?;
+        let entry = self.entries.get_mut(&index.module.funcs[fi].name)?;
         if entry.fp != fp {
             return None;
         }
-        let body = remap_body(entry, module)?;
+        let body = remap_body(entry, index)?;
         entry.last_used = tick;
         let mut outcome = entry.outcome.clone();
         // A spliced function spends no chain time *this* compile; replaying
         // the stored rows would overstate the warm run's per-pass cost.
         outcome.timings.clear();
-        let events = entry.events.clone();
-        module.funcs[fi] = body;
-        Some((outcome, events))
+        Some((body, outcome, entry.events.clone()))
     }
 
     /// Memoizes function `fi`'s chain output. Must be called *before* the
@@ -220,32 +228,32 @@ impl FuncCache {
         events: Vec<PassEvent>,
     ) {
         let func = &module.funcs[fi];
-        let mut tag_ids: Vec<u32> = Vec::new();
+        // A bitmap over the tag table dedups the references: a spilled
+        // tag set joins it with one word-wise union.
+        let mut tag_ids = DenseTagSet::new();
         let mut func_ids: Vec<u32> = Vec::new();
         for b in &func.blocks {
             for instr in &b.instrs {
                 collect_refs(instr, &mut tag_ids, &mut func_ids);
             }
         }
-        tag_ids.sort_unstable();
-        tag_ids.dedup();
         func_ids.sort_unstable();
         func_ids.dedup();
         let tag_names: Vec<(u32, String)> = tag_ids
-            .into_iter()
-            .filter(|&id| id < PROVISIONAL_SPILL_BASE)
-            .map(|id| (id, module.tags.info(TagId(id)).name.clone()))
+            .iter()
+            .map(|t| (t.0, module.tags.info(t).name.clone()))
             .collect();
         let func_names: Vec<(u32, String)> = func_ids
             .into_iter()
             .map(|id| (id, module.funcs[id as usize].name.clone()))
             .collect();
+        let body = func.clone();
         let entry = CacheEntry {
             fp,
             h_body,
             text_hint,
-            body: func.clone(),
-            approx_bytes: approx_entry_bytes(func, &tag_names, &func_names, &events),
+            approx_bytes: approx_entry_bytes(&body, &tag_names, &func_names, &events),
+            body,
             tag_names,
             func_names,
             outcome: outcome.clone(),
@@ -277,21 +285,28 @@ impl FuncCache {
     }
 }
 
-/// Rough per-entry heap footprint: instruction payloads, name tables,
-/// and trace events, plus a fixed overhead for the maps and vectors.
+/// Rough per-entry heap footprint: instruction payloads plus the heap
+/// they own (spilled tag-set words, call and phi argument vectors), name
+/// tables, and trace events, plus a fixed overhead for the maps and
+/// vectors.
 fn approx_entry_bytes(
     func: &Function,
     tag_names: &[(u32, String)],
     func_names: &[(u32, String)],
     events: &[PassEvent],
 ) -> usize {
-    let instrs: usize = func.blocks.iter().map(|b| b.instrs.len()).sum();
+    let instrs: usize = func
+        .blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .map(|i| std::mem::size_of::<Instr>() + instr_heap_bytes(i))
+        .sum();
     let names: usize = tag_names
         .iter()
         .chain(func_names)
         .map(|(_, n)| n.len() + 16)
         .sum();
-    instrs * std::mem::size_of::<Instr>()
+    instrs
         + func.blocks.len() * std::mem::size_of::<ir::Block>()
         + events.len() * std::mem::size_of::<PassEvent>()
         + names
@@ -299,21 +314,40 @@ fn approx_entry_bytes(
         + 256
 }
 
+/// Heap bytes an instruction owns beyond its inline payload.
+fn instr_heap_bytes(instr: &Instr) -> usize {
+    let set = |s: &TagSet| s.as_set().map_or(0, DenseTagSet::heap_bytes);
+    match instr {
+        Instr::Load { tags, .. } | Instr::Store { tags, .. } => set(tags),
+        Instr::Call {
+            args, mods, refs, ..
+        } => args.capacity() * std::mem::size_of::<Reg>() + set(mods) + set(refs),
+        Instr::Phi { args, .. } => args.capacity() * std::mem::size_of::<(BlockId, Reg)>(),
+        _ => 0,
+    }
+}
+
 /// Every tag and function id an instruction references — the identifiers
-/// a splice must re-resolve by name in the destination module.
-fn collect_refs(instr: &Instr, tags: &mut Vec<u32>, funcs: &mut Vec<u32>) {
-    let mut set = |s: &TagSet| {
-        if let TagSet::Set(d) = s {
-            tags.extend(d.iter().map(|t| t.0));
+/// a splice must re-resolve by name in the destination module. Provisional
+/// spill ids (only ever named directly, by `sload`/`sstore`) are skipped:
+/// the per-compile spill commit rewrites them.
+fn collect_refs(instr: &Instr, tags: &mut DenseTagSet, funcs: &mut Vec<u32>) {
+    let mut tag = |t: TagId| {
+        if t.0 < PROVISIONAL_SPILL_BASE {
+            tags.insert(t);
         }
     };
     match instr {
-        Instr::CLoad { tag, .. }
-        | Instr::SLoad { tag, .. }
-        | Instr::SStore { tag, .. }
-        | Instr::Lea { tag, .. } => tags.push(tag.0),
-        Instr::Alloc { site, .. } => tags.push(site.0),
-        Instr::Load { tags: t, .. } | Instr::Store { tags: t, .. } => set(t),
+        Instr::CLoad { tag: t, .. }
+        | Instr::SLoad { tag: t, .. }
+        | Instr::SStore { tag: t, .. }
+        | Instr::Lea { tag: t, .. }
+        | Instr::Alloc { site: t, .. } => tag(*t),
+        Instr::Load { tags: s, .. } | Instr::Store { tags: s, .. } => {
+            if let TagSet::Set(d) = s {
+                tags.union_with(d);
+            }
+        }
         Instr::FuncAddr { func, .. } => funcs.push(func.0),
         Instr::Call {
             callee, mods, refs, ..
@@ -321,79 +355,164 @@ fn collect_refs(instr: &Instr, tags: &mut Vec<u32>, funcs: &mut Vec<u32>) {
             if let ir::Callee::Direct(f) = callee {
                 funcs.push(f.0);
             }
-            set(mods);
-            set(refs);
+            for s in [mods, refs] {
+                if let TagSet::Set(d) = s {
+                    tags.union_with(d);
+                }
+            }
         }
         _ => {}
     }
 }
 
-/// Clones the cached body with every tag and function id re-resolved by
-/// name against `module`. Provisional spill ids (>=
-/// [`PROVISIONAL_SPILL_BASE`]) pass through untouched — the per-compile
-/// spill commit rewrites them. `None` if any name fails to resolve.
-fn remap_body(entry: &CacheEntry, module: &Module) -> Option<Function> {
-    let mut tag_map: HashMap<u32, TagId> = HashMap::with_capacity(entry.tag_names.len());
-    for (old, name) in &entry.tag_names {
-        tag_map.insert(*old, module.tags.lookup(name)?);
+/// Name → id lookups into one compile's module, for the splices whose
+/// cached ids no longer line up (an edit added or removed a definition
+/// ahead of them). Built on the first such splice and shared by the rest
+/// of the compile.
+pub(crate) struct SpliceIndex<'m> {
+    module: &'m Module,
+    names: Option<NameIndex<'m>>,
+}
+
+struct NameIndex<'m> {
+    tags: HashMap<&'m str, TagId>,
+    funcs: HashMap<&'m str, FuncId>,
+}
+
+impl<'m> SpliceIndex<'m> {
+    /// An index over `module`; the name maps are built on first use.
+    pub(crate) fn new(module: &'m Module) -> SpliceIndex<'m> {
+        SpliceIndex {
+            module,
+            names: None,
+        }
     }
-    let mut func_map: HashMap<u32, ir::FuncId> = HashMap::with_capacity(entry.func_names.len());
-    for (old, name) in &entry.func_names {
-        func_map.insert(*old, module.lookup_func(name)?);
+
+    fn names(&mut self) -> &NameIndex<'m> {
+        let module = self.module;
+        self.names.get_or_insert_with(|| {
+            let tags = module.tags.iter().map(|(id, t)| (t.name.as_str(), id));
+            // First definition wins, as in `Module::lookup_func`.
+            let mut funcs = HashMap::with_capacity(module.funcs.len());
+            for (i, f) in module.funcs.iter().enumerate() {
+                funcs.entry(f.name.as_str()).or_insert(FuncId(i as u32));
+            }
+            NameIndex {
+                tags: tags.collect(),
+                funcs,
+            }
+        })
     }
+}
+
+/// Clones the cached body into the index's module. When every cached id
+/// still names the same tag or function there (the common case: the edit
+/// shifted nothing ahead of this function), the body is cloned untouched.
+/// Otherwise ids are re-resolved by name through dense old-id → new-id
+/// tables. Provisional spill ids (>= [`PROVISIONAL_SPILL_BASE`]) pass
+/// through untouched — the per-compile spill commit rewrites them.
+/// `None` if any name fails to resolve.
+fn remap_body(entry: &CacheEntry, index: &mut SpliceIndex<'_>) -> Option<Function> {
+    let module = index.module;
+    let tags_moved = !entry.tag_names.iter().all(|(id, name)| {
+        (*id as usize) < module.tags.len() && module.tags.info(TagId(*id)).name == *name
+    });
+    let funcs_moved = !entry.func_names.iter().all(|(id, name)| {
+        module
+            .funcs
+            .get(*id as usize)
+            .is_some_and(|f| f.name == *name)
+    });
+    if !tags_moved && !funcs_moved {
+        return Some(entry.body.clone());
+    }
+    let names = index.names();
+    let tag_map = if tags_moved {
+        Some(dense_map(&entry.tag_names, |n| {
+            names.tags.get(n).map(|t| t.0)
+        })?)
+    } else {
+        None
+    };
+    let func_map = if funcs_moved {
+        Some(dense_map(&entry.func_names, |n| {
+            names.funcs.get(n).map(|f| f.0)
+        })?)
+    } else {
+        None
+    };
     let mut body = entry.body.clone();
     for b in &mut body.blocks {
         for instr in &mut b.instrs {
-            remap_instr(instr, &tag_map, &func_map)?;
+            remap_instr(instr, tag_map.as_deref(), func_map.as_deref())?;
         }
     }
     Some(body)
 }
 
-fn remap_tag(tag: &mut TagId, map: &HashMap<u32, TagId>) -> Option<()> {
-    if tag.0 >= PROVISIONAL_SPILL_BASE {
-        return Some(());
+/// Marks an old id the entry does not reference.
+const UNMAPPED: u32 = u32::MAX;
+
+/// A dense old-id → new-id table over an entry's `(id, name)` list;
+/// `None` if some name does not resolve.
+fn dense_map(names: &[(u32, String)], resolve: impl Fn(&str) -> Option<u32>) -> Option<Vec<u32>> {
+    let len = names
+        .iter()
+        .map(|(id, _)| *id as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut map = vec![UNMAPPED; len];
+    for (old, name) in names {
+        map[*old as usize] = resolve(name)?;
     }
-    *tag = *map.get(&tag.0)?;
+    Some(map)
+}
+
+/// Looks `old` up in a dense table (`None` map: ids are unchanged).
+fn mapped(map: Option<&[u32]>, old: u32) -> Option<u32> {
+    match map {
+        None => Some(old),
+        Some(m) => m.get(old as usize).copied().filter(|&id| id != UNMAPPED),
+    }
+}
+
+fn remap_tag(tag: &mut TagId, map: Option<&[u32]>) -> Option<()> {
+    if tag.0 < PROVISIONAL_SPILL_BASE {
+        tag.0 = mapped(map, tag.0)?;
+    }
     Some(())
 }
 
-fn remap_set(set: &mut TagSet, map: &HashMap<u32, TagId>) -> Option<()> {
-    if let TagSet::Set(d) = set {
+fn remap_set(set: &mut TagSet, map: Option<&[u32]>) -> Option<()> {
+    if let (TagSet::Set(d), Some(_)) = (&mut *set, map) {
         let mut out = DenseTagSet::new();
         for t in d.iter() {
-            if t.0 >= PROVISIONAL_SPILL_BASE {
-                out.insert(t);
-            } else {
-                out.insert(*map.get(&t.0)?);
-            }
+            // Tag sets never hold provisional spill ids: the allocator
+            // names spill slots only in `sload`/`sstore`.
+            out.insert(TagId(mapped(map, t.0)?));
         }
         *d = out;
     }
     Some(())
 }
 
-fn remap_instr(
-    instr: &mut Instr,
-    tag_map: &HashMap<u32, TagId>,
-    func_map: &HashMap<u32, ir::FuncId>,
-) -> Option<()> {
+fn remap_instr(instr: &mut Instr, tag_map: Option<&[u32]>, func_map: Option<&[u32]>) -> Option<()> {
     match instr {
         Instr::CLoad { tag, .. }
         | Instr::SLoad { tag, .. }
         | Instr::SStore { tag, .. }
-        | Instr::Lea { tag, .. } => remap_tag(tag, tag_map),
-        Instr::Alloc { site, .. } => remap_tag(site, tag_map),
+        | Instr::Lea { tag, .. }
+        | Instr::Alloc { site: tag, .. } => remap_tag(tag, tag_map),
         Instr::Load { tags, .. } | Instr::Store { tags, .. } => remap_set(tags, tag_map),
         Instr::FuncAddr { func, .. } => {
-            *func = *func_map.get(&func.0)?;
+            func.0 = mapped(func_map, func.0)?;
             Some(())
         }
         Instr::Call {
             callee, mods, refs, ..
         } => {
             if let ir::Callee::Direct(f) = callee {
-                *f = *func_map.get(&f.0)?;
+                f.0 = mapped(func_map, f.0)?;
             }
             remap_set(mods, tag_map)?;
             remap_set(refs, tag_map)
@@ -479,6 +598,7 @@ pub(crate) fn compute_fingerprints(
     h_config: u64,
     source: Option<&minic::SourceFingerprint>,
 ) -> Fingerprints {
+    let digests = TagDigests::new(module);
     let mut per_func = Vec::with_capacity(module.funcs.len());
     let mut hints = Vec::with_capacity(module.funcs.len());
     for (i, func) in module.funcs.iter().enumerate() {
@@ -486,7 +606,7 @@ pub(crate) fn compute_fingerprints(
         let h_body = hint
             .and_then(|h| cache.cached_body_hash(&func.name, h))
             .unwrap_or_else(|| body_hash(module, func));
-        let h_facts = ir::hash::facts_hash(module, func);
+        let h_facts = facts_hash(&digests, func);
         let fp = fingerprint(h_body, h_facts, summaries[i], h_config, recursive[i]);
         per_func.push((fp, h_body));
         hints.push(hint);
@@ -518,6 +638,37 @@ mod tests {
             ..Default::default()
         });
         assert_ne!(config_hash(&c), h);
+    }
+
+    #[test]
+    fn entry_bytes_charge_spilled_sets_and_argument_vectors() {
+        let bytes = |f: &Function| approx_entry_bytes(f, &[], &[], &[]);
+        let with = |instr: Instr| {
+            let mut f = Function::new("f", 0);
+            f.blocks[0].instrs.push(instr);
+            f
+        };
+        let load = |members: u32| Instr::Load {
+            dst: Reg(0),
+            addr: Reg(0),
+            tags: TagSet::Set((0..members).map(TagId).collect()),
+        };
+        let spilled: DenseTagSet = (0..200).map(TagId).collect();
+        assert!(spilled.is_spilled() && spilled.heap_bytes() >= 4 * 8);
+        let inline = bytes(&with(load(ir::INLINE_CAP as u32)));
+        assert_eq!(bytes(&with(load(200))), inline + spilled.heap_bytes());
+        let call = |args: Vec<Reg>| Instr::Call {
+            dst: None,
+            callee: ir::Callee::Direct(FuncId(0)),
+            args,
+            mods: TagSet::Set(spilled.clone()),
+            refs: TagSet::empty(),
+        };
+        let no_args = bytes(&with(call(Vec::new())));
+        assert_eq!(no_args, inline + spilled.heap_bytes());
+        let args = vec![Reg(1), Reg(2), Reg(3)];
+        let charged = args.capacity() * std::mem::size_of::<Reg>();
+        assert_eq!(bytes(&with(call(args))), no_args + charged);
     }
 
     #[test]

@@ -613,10 +613,13 @@ pub(crate) fn run_pipeline_core(
             funcs_total: module.funcs.len(),
             ..Default::default()
         };
+        let mut bodies = Vec::new();
+        let mut index = crate::incremental::SpliceIndex::new(module);
         for i in 0..module.funcs.len() {
             let (fp, h_body) = fps.per_func[i];
-            match run.cache.splice(module, i, fp) {
-                Some((o, events)) => {
+            match run.cache.splice(&mut index, i, fp) {
+                Some((body, o, events)) => {
+                    bodies.push((i, body));
                     traces[i].append_events(events);
                     spliced[i] = Some(o);
                     rep.cache_hits += 1;
@@ -628,6 +631,9 @@ pub(crate) fn run_pipeline_core(
                     }
                 }
             }
+        }
+        for (i, body) in bodies {
+            module.funcs[i] = body;
         }
         fingerprints = Some(fps);
         incr_report = Some(rep);

@@ -243,6 +243,42 @@ int main() { print_int(work()); return 0; }
 }
 
 #[test]
+fn shifted_tag_ids_are_remapped_inside_spliced_tag_sets() {
+    // `work` loads and stores through pointers, so MOD/REF gives those
+    // operations the tag set {a, b, c}. Inserting the unreferenced
+    // global `pad` ahead of them shifts all three ids without changing
+    // any fact, so `work` must still hit, and its spliced sets must be
+    // rewritten to the new ids, not cloned as cached.
+    let v0 = "
+int a;
+int b;
+int c;
+int work(int *p, int *q) { *p = *p + 1; return *q + *p; }
+int main() {
+    print_int(work(&a, &b) + work(&b, &c));
+    print_int(a + b + c);
+    return 0;
+}
+";
+    let v1 = v0.replacen("int a;", "int pad;\nint a;", 1);
+    for threads in [1usize, 2] {
+        let warm = incremental_session(threads);
+        let first = warm.compile(v0).expect("seed compile");
+        let c = warm.compile(&v1).expect("warm edit");
+        let id = |m: &ir::Module| m.tags.lookup("g:a").expect("tag for `a`");
+        assert_ne!(id(&first.module), id(&c.module), "the edit must shift ids");
+        let incr = c.report.incremental.as_ref().unwrap();
+        assert!(c.trace.is_cached("work"), "threads={threads} {incr:?}");
+        assert_eq!(incr.funcs_recompiled, 0, "threads={threads} {incr:?}");
+        let cold = cold_session(threads).compile(&v1).expect("cold compile");
+        let label = format!("threads={threads}");
+        assert_eq!(c.module.to_string(), cold.module.to_string(), "{label}");
+        assert_eq!(c.remarks_text(), cold.remarks_text(), "{label}");
+        assert_eq!(c.trace_jsonl(), cold.trace_jsonl(), "{label}");
+    }
+}
+
+#[test]
 fn tiny_cache_budget_still_compiles_correctly() {
     let warm = Session::builder()
         .threads(Some(2))

@@ -13,13 +13,21 @@
 //!   analysis-written fields (`load`/`store` tag sets, call MOD/REF
 //!   sets). It answers "did the function itself change?".
 //! * [`facts_hash`] covers exactly those skipped fields plus the
-//!   [`crate::TagInfo`] of every tag the function references (kind, owner,
-//!   size, address-taken flag). It answers "did the interprocedural
-//!   facts feeding this function change?".
+//!   [`crate::TagInfo`] of every tag the function references (name, kind,
+//!   owner, size, address-taken flag). It answers "did the
+//!   interprocedural facts feeding this function change?".
 //!
 //! A function's cache fingerprint mixes both (plus the configuration and
 //! callee-summary hashes); keeping them separate lets the driver report
 //! *why* a cache miss happened — edited body versus invalidated summary.
+//!
+//! After MOD/REF analysis every ambiguous load, store and call carries
+//! the module's whole address-taken universe, so tag-set members
+//! outnumber instructions ten to one (~206,000 members over 400–450 tags
+//! on a 156–169-function module). The facts walk therefore never
+//! touches a name: [`TagDigests`] hashes each tag's attributes once per
+//! compile, and [`facts_hash`] folds one precomputed word per set member
+//! or direct tag reference.
 //!
 //! Tag and function ids are resolved through the owning [`Module`], and
 //! ids outside the module's tables (the allocator's provisional spill
@@ -138,22 +146,6 @@ fn hash_func_ref(h: &mut FxHasher, module: &Module, fid: FuncId) {
     }
 }
 
-/// Hashes a [`TagSet`] canonically: the `All` marker, or the member tags
-/// by name in ascending-id order (id order is deterministic per module,
-/// and the names themselves make the digest module-independent).
-fn hash_tag_set(h: &mut FxHasher, module: &Module, set: &TagSet) {
-    match set {
-        TagSet::All => h.write_u8(1),
-        TagSet::Set(s) => {
-            h.write_u8(2);
-            h.write_usize(s.len());
-            for t in s.iter() {
-                hash_tag(h, module, t);
-            }
-        }
-    }
-}
-
 /// Opcode discriminants for the canonical walk. Kept explicit (rather
 /// than `mem::discriminant`) so the digest is stable across compiler
 /// versions and enum reorderings.
@@ -185,25 +177,8 @@ fn opcode(instr: &Instr) -> u8 {
 
 /// Hashes one instruction's structural content — everything except the
 /// analysis-written tag sets (`Load`/`Store` `tags`, `Call` `mods` and
-/// `refs`). `with_facts` selects the complementary projection: *only*
-/// those fields (the body walk calls it with `false`, the facts walk
-/// with `true`).
-fn hash_instr(h: &mut FxHasher, module: &Module, instr: &Instr, with_facts: bool) {
-    if with_facts {
-        match instr {
-            Instr::Load { tags, .. } | Instr::Store { tags, .. } => {
-                h.write_u8(opcode(instr));
-                hash_tag_set(h, module, tags);
-            }
-            Instr::Call { mods, refs, .. } => {
-                h.write_u8(opcode(instr));
-                hash_tag_set(h, module, mods);
-                hash_tag_set(h, module, refs);
-            }
-            _ => {}
-        }
-        return;
-    }
+/// `refs`), which [`facts_hash`] covers.
+fn hash_instr(h: &mut FxHasher, module: &Module, instr: &Instr) {
     h.write_u8(opcode(instr));
     match instr {
         Instr::IConst { dst, value } => {
@@ -339,85 +314,115 @@ pub fn body_hash(module: &Module, func: &Function) -> u64 {
     for block in &func.blocks {
         h.write_usize(block.instrs.len());
         for instr in &block.instrs {
-            hash_instr(&mut h, module, instr, false);
+            hash_instr(&mut h, module, instr);
         }
     }
     h.finish()
 }
 
-/// Canonical hash of the analysis-written facts a function's fused-chain
-/// trip consumes: the `load`/`store` tag sets and call MOD/REF sets in
-/// body order, plus the [`crate::TagInfo`] (kind, owner function by
-/// *name*, size, address-taken flag) of every tag the function
-/// references, in name order. A change here with an unchanged
-/// [`body_hash`] is exactly a "summary invalidation".
-pub fn facts_hash(module: &Module, func: &Function) -> u64 {
-    let mut h = FxHasher::new();
-    let mut referenced: Vec<TagId> = Vec::new();
-    let mut note = |t: TagId| {
-        if t.index() < module.tags.len() {
-            referenced.push(t);
+/// One digest per tag of a module: its name, kind (owner function by
+/// *name*), size and address-taken flag. Built once per compile, so the
+/// facts walk folds one word per tag reference instead of re-hashing
+/// names and attributes for every member of every tag set.
+#[derive(Debug)]
+pub struct TagDigests {
+    digests: Vec<u64>,
+}
+
+impl TagDigests {
+    /// Digests every tag in `module`'s table.
+    pub fn new(module: &Module) -> TagDigests {
+        let digests = module
+            .tags
+            .iter()
+            .map(|(_, info)| {
+                let mut h = FxHasher::new();
+                h.write(info.name.as_bytes());
+                match info.kind {
+                    TagKind::Global => h.write_u8(1),
+                    TagKind::Local { owner } => {
+                        h.write_u8(2);
+                        hash_func_ref(&mut h, module, FuncId(owner));
+                    }
+                    TagKind::Param { owner } => {
+                        h.write_u8(3);
+                        hash_func_ref(&mut h, module, FuncId(owner));
+                    }
+                    TagKind::Heap { site } => {
+                        h.write_u8(4);
+                        h.write_u32(site);
+                    }
+                    TagKind::Spill { owner } => {
+                        h.write_u8(5);
+                        hash_func_ref(&mut h, module, FuncId(owner));
+                    }
+                }
+                h.write_usize(info.size);
+                h.write_u8(info.address_taken as u8);
+                h.finish()
+            })
+            .collect();
+        TagDigests { digests }
+    }
+
+    /// Folds `tag`'s digest into `h`, or its raw id if it is not in the
+    /// table (provisional spill ids).
+    #[inline]
+    fn write(&self, h: &mut FxHasher, tag: TagId) {
+        match self.digests.get(tag.index()) {
+            Some(&d) => h.write_u64(d),
+            None => {
+                h.write_u8(0xFF);
+                h.write_u32(tag.0);
+            }
         }
-    };
+    }
+
+    /// Folds a [`TagSet`]: the `All` marker, or the member digests in
+    /// ascending-id order.
+    fn write_set(&self, h: &mut FxHasher, set: &TagSet) {
+        match set {
+            TagSet::All => h.write_u8(1),
+            TagSet::Set(s) => {
+                h.write_u8(2);
+                h.write_usize(s.len());
+                for t in s.iter() {
+                    self.write(h, t);
+                }
+            }
+        }
+    }
+}
+
+/// Canonical hash of the analysis-written facts a function's fused-chain
+/// trip consumes: the `load`/`store` tag sets and call MOD/REF sets, plus
+/// the attributes of every tag the function names directly, in body
+/// order. Each tag contributes its [`TagDigests`] word (name, kind, owner
+/// function by *name*, size, address-taken flag), so the cost is one
+/// word mix per set member or direct tag reference. A change here with
+/// an unchanged [`body_hash`] is exactly a "summary invalidation".
+pub fn facts_hash(digests: &TagDigests, func: &Function) -> u64 {
+    let mut h = FxHasher::new();
     for block in &func.blocks {
         for instr in &block.instrs {
-            hash_instr(&mut h, module, instr, true);
             match instr {
                 Instr::CLoad { tag, .. }
                 | Instr::SLoad { tag, .. }
                 | Instr::SStore { tag, .. }
-                | Instr::Lea { tag, .. } => note(*tag),
-                Instr::Alloc { site, .. } => note(*site),
+                | Instr::Lea { tag, .. }
+                | Instr::Alloc { site: tag, .. } => digests.write(&mut h, *tag),
                 Instr::Load { tags, .. } | Instr::Store { tags, .. } => {
-                    if let TagSet::Set(s) = tags {
-                        s.iter().for_each(&mut note);
-                    }
+                    h.write_u8(opcode(instr));
+                    digests.write_set(&mut h, tags);
                 }
                 Instr::Call { mods, refs, .. } => {
-                    for set in [mods, refs] {
-                        if let TagSet::Set(s) = set {
-                            s.iter().for_each(&mut note);
-                        }
-                    }
+                    h.write_u8(opcode(instr));
+                    digests.write_set(&mut h, mods);
+                    digests.write_set(&mut h, refs);
                 }
                 _ => {}
             }
         }
-    }
-    referenced.sort_unstable_by(|a, b| {
-        module
-            .tags
-            .info(*a)
-            .name
-            .cmp(&module.tags.info(*b).name)
-            .then(a.0.cmp(&b.0))
-    });
-    referenced.dedup();
-    h.write_usize(referenced.len());
-    for t in referenced {
-        let info = module.tags.info(t);
-        h.write(info.name.as_bytes());
-        match info.kind {
-            TagKind::Global => h.write_u8(1),
-            TagKind::Local { owner } => {
-                h.write_u8(2);
-                hash_func_ref(&mut h, module, FuncId(owner));
-            }
-            TagKind::Param { owner } => {
-                h.write_u8(3);
-                hash_func_ref(&mut h, module, FuncId(owner));
-            }
-            TagKind::Heap { site } => {
-                h.write_u8(4);
-                h.write_u32(site);
-            }
-            TagKind::Spill { owner } => {
-                h.write_u8(5);
-                hash_func_ref(&mut h, module, FuncId(owner));
-            }
-        }
-        h.write_usize(info.size);
-        h.write_u8(info.address_taken as u8);
     }
     h.finish()
 }
@@ -429,22 +434,29 @@ mod tests {
 
     const A: &str = "\
 tag \"g\" global size=1
+tag \"h\" global size=2 addressed
 global \"g\" zero
+global \"h\" zero
 func @main(0) {
 B0:
   r0 = cload \"g\"
   r1 = iconst 1
   r2 = add r0, r1
+  r3 = lea \"h\"
+  r4 = load [r3] {\"g\", \"h\"}
   ret
 }
 ";
 
     // Same function, but the module carries an extra tag and an extra
-    // function *before* it, shifting its index and its tags' ids.
+    // function *before* it, shifting its index, the ids of the tags it
+    // names directly, and the ids of its load's tag-set members.
     const B: &str = "\
 tag \"pad.x\" local owner=0 size=1
 tag \"g\" global size=1
+tag \"h\" global size=2 addressed
 global \"g\" zero
+global \"h\" zero
 func @pad(0) {
 B0:
   r0 = iconst 0
@@ -456,6 +468,25 @@ B0:
   r0 = cload \"g\"
   r1 = iconst 1
   r2 = add r0, r1
+  r3 = lea \"h\"
+  r4 = load [r3] {\"g\", \"h\"}
+  ret
+}
+";
+
+    // Each of `l`, `s` and `m` appears only inside one analysis-written
+    // set: a load's tags, a store's tags, a call's MOD set.
+    const SETS_ONLY: &str = "\
+tag \"g\" global size=1
+tag \"l\" global size=1
+tag \"s\" global size=1
+tag \"m\" global size=1
+func @main(0) {
+B0:
+  r0 = lea \"g\"
+  r1 = load [r0] {\"g\", \"l\"}
+  store r1, [r0] {\"g\", \"s\"}
+  call @main() mods{\"m\"} refs{}
   ret
 }
 ";
@@ -464,18 +495,21 @@ B0:
         m.funcs.iter().find(|f| f.name == name).unwrap()
     }
 
+    fn facts(m: &Module, name: &str) -> u64 {
+        facts_hash(&TagDigests::new(m), find(m, name))
+    }
+
     #[test]
     fn body_hash_independent_of_function_index_and_tag_ids() {
         let a = parse_module(A).unwrap();
         let b = parse_module(B).unwrap();
+        // The load's members really do sit at different ids in `b`.
+        assert_ne!(a.tags.lookup("h"), b.tags.lookup("h"));
         assert_eq!(
             body_hash(&a, find(&a, "main")),
             body_hash(&b, find(&b, "main"))
         );
-        assert_eq!(
-            facts_hash(&a, find(&a, "main")),
-            facts_hash(&b, find(&b, "main"))
-        );
+        assert_eq!(facts(&a, "main"), facts(&b, "main"));
         assert_ne!(
             body_hash(&b, find(&b, "pad")),
             body_hash(&b, find(&b, "main"))
@@ -498,14 +532,28 @@ B0:
         let mut b = parse_module(A).unwrap();
         let g = b.tags.lookup("g").unwrap();
         b.tags.mark_address_taken(g);
-        assert_eq!(body_hash(&a, find(&a, "main")), {
-            let f = find(&b, "main");
-            body_hash(&b, f)
-        });
-        assert_ne!(facts_hash(&a, find(&a, "main")), {
-            let f = find(&b, "main");
-            facts_hash(&b, f)
-        });
+        assert_eq!(
+            body_hash(&a, find(&a, "main")),
+            body_hash(&b, find(&b, "main"))
+        );
+        assert_ne!(facts(&a, "main"), facts(&b, "main"));
+    }
+
+    #[test]
+    fn facts_hash_sees_attributes_of_tags_named_only_in_sets() {
+        let base = parse_module(SETS_ONLY).unwrap();
+        let (h_body, h_facts) = (body_hash(&base, find(&base, "main")), facts(&base, "main"));
+        for tag in ["l", "s", "m"] {
+            let decl = format!("tag \"{tag}\" global size=1");
+            let flipped = SETS_ONLY.replace(&decl, &format!("{decl} addressed"));
+            let resized = SETS_ONLY.replace(&decl, &format!("tag \"{tag}\" global size=3"));
+            for variant in [flipped, resized] {
+                assert_ne!(variant, SETS_ONLY);
+                let m = parse_module(&variant).unwrap();
+                assert_eq!(body_hash(&m, find(&m, "main")), h_body, "{tag}");
+                assert_ne!(facts(&m, "main"), h_facts, "{tag}: {variant}");
+            }
+        }
     }
 
     #[test]

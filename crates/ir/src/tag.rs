@@ -272,6 +272,15 @@ impl DenseTagSet {
         matches!(self.repr, Repr::Bits { .. })
     }
 
+    /// Heap bytes owned by the set: the word vector of a spilled set, zero
+    /// for an inline one.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Inline { .. } => 0,
+            Repr::Bits { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
+        }
+    }
+
     /// Membership test.
     pub fn contains(&self, tag: TagId) -> bool {
         match &self.repr {
