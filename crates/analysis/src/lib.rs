@@ -220,14 +220,9 @@ pub fn analyze_traced(
                 .map(|_| cfg::FunctionAnalyses::new())
                 .collect();
             for (fi, (f, fa)) in module.funcs.iter_mut().zip(&mut caches).enumerate() {
-                match traces.as_deref_mut() {
-                    Some(ts) => {
-                        ssa::construct_in_traced(f, fa, &mut ts[fi]);
-                    }
-                    None => {
-                        ssa::construct_in(f, fa);
-                    }
-                }
+                let mut off = trace::FuncTrace::off();
+                let tr = traces.as_deref_mut().map_or(&mut off, |ts| &mut ts[fi]);
+                ssa::construct(f, fa, tr);
             }
             let pt = points_to_analyze_with(module, false, &mut dataflow);
             points_to_apply(module, &pt);
@@ -236,14 +231,9 @@ pub fn analyze_traced(
             let graph = CallGraph::build(module, Some(&targets));
             let modref = compute_and_apply_with_sites(module, &graph, Some(&sites));
             for (fi, (f, fa)) in module.funcs.iter_mut().zip(&mut caches).enumerate() {
-                match traces.as_deref_mut() {
-                    Some(ts) => {
-                        ssa::destruct_in_traced(f, fa, &mut ts[fi]);
-                    }
-                    None => {
-                        ssa::destruct_in(f, fa);
-                    }
-                }
+                let mut off = trace::FuncTrace::off();
+                let tr = traces.as_deref_mut().map_or(&mut off, |ts| &mut ts[fi]);
+                ssa::destruct(f, fa, tr);
             }
             (graph, modref)
         }
@@ -285,10 +275,8 @@ fn collect_stats(module: &Module) -> TagSetStats {
                             }
                         }
                     }
-                    Instr::Call { mods, .. } => {
-                        if !mods.is_all() {
-                            stats.summarized_calls += 1;
-                        }
+                    Instr::Call { mods, .. } if !mods.is_all() => {
+                        stats.summarized_calls += 1;
                     }
                     _ => {}
                 }

@@ -273,8 +273,7 @@ pub fn analyze(module: &Module) -> Steensgaard {
     for (fi, func) in module.funcs.iter().enumerate() {
         let mut tags_row = Vec::with_capacity(func.next_reg as usize);
         let mut funcs_row = Vec::with_capacity(func.next_reg as usize);
-        for r in 0..func.next_reg as usize {
-            let node = reg_node[fi][r];
+        for &node in &reg_node[fi][..func.next_reg as usize] {
             let root = uf.find(node);
             match uf.pts[root] {
                 Some(p) => {

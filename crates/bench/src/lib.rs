@@ -42,7 +42,7 @@ fn run_config(src: &str, config: PipelineConfig, context: &str) -> Outcome {
 pub fn measure_suite(only: Option<&str>) -> Vec<MeasurementRow> {
     let programs: Vec<_> = benchsuite::SUITE
         .iter()
-        .filter(|b| only.map_or(true, |name| b.name == name))
+        .filter(|b| only.is_none_or(|name| b.name == name))
         .collect();
     let threads = driver::resolve_threads(None);
     driver::parallel_map(programs, threads, |_, b| {

@@ -13,7 +13,7 @@
 //! `cargo test --release -p promo-bench --test overhead_gates -- --ignored`.
 
 use bench_harness::timing::{measure, measure_alternating};
-use driver::{run_pipeline_in, PipelineConfig, Session, WorkerPool};
+use driver::{run_pipeline, PipelineConfig, Session, WorkerPool};
 use std::fmt::Write;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -73,11 +73,11 @@ fn two_workers_stay_within_slowdown_bound() {
     let (mut seq, mut par) = (Duration::ZERO, Duration::ZERO);
     for module in &suite_modules() {
         seq += measure(ITERS, || {
-            run_pipeline_in(&mut module.clone(), &seq_cfg, &seq_pool);
+            run_pipeline(&mut module.clone(), &seq_cfg, &seq_pool, None);
         })
         .min;
         par += measure(ITERS, || {
-            run_pipeline_in(&mut module.clone(), &par_cfg, &par_pool);
+            run_pipeline(&mut module.clone(), &par_cfg, &par_pool, None);
         })
         .min;
     }
@@ -105,10 +105,10 @@ fn tracing_stays_within_overhead_bound() {
         let (o, t) = measure_alternating(
             ITERS,
             || {
-                run_pipeline_in(&mut module.clone(), &off_cfg, &pool);
+                run_pipeline(&mut module.clone(), &off_cfg, &pool, None);
             },
             || {
-                run_pipeline_in(&mut module.clone(), &on_cfg, &pool);
+                run_pipeline(&mut module.clone(), &on_cfg, &pool, None);
             },
         );
         off += o.min;

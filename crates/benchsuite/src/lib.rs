@@ -213,21 +213,34 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{label} failed to run: {e}"));
             assert_eq!(out.exit_code, 0, "{label} exits cleanly");
         }
-        // Same function set, same context: the edit lives inside one body.
-        let base_fp = minic::source_fingerprint(pair.base);
-        let edit_fp = minic::source_fingerprint(&pair.edited);
+        // Same functions in the same order, same tags, and exactly one
+        // lowered body that hashes differently: the edit lives inside one
+        // function.
+        let base = minic::compile(pair.base).expect("base compiles");
+        let edited = minic::compile(&pair.edited).expect("edited compiles");
+        let func_names =
+            |m: &ir::Module| -> Vec<String> { m.funcs.iter().map(|f| f.name.clone()).collect() };
         assert_eq!(
-            base_fp.context, edit_fp.context,
-            "globals and signatures untouched"
+            func_names(&base),
+            func_names(&edited),
+            "no function added, removed, or reordered"
         );
-        let names = |fp: &minic::SourceFingerprint| -> Vec<String> {
-            fp.funcs.iter().map(|f| f.name.clone()).collect()
+        let tag_names = |m: &ir::Module| -> Vec<String> {
+            m.tags.iter().map(|(_, t)| t.name.clone()).collect()
         };
         assert_eq!(
-            names(&base_fp),
-            names(&edit_fp),
-            "no function added or removed"
+            tag_names(&base),
+            tag_names(&edited),
+            "globals and locals untouched"
         );
+        let changed: Vec<&str> = base
+            .funcs
+            .iter()
+            .zip(&edited.funcs)
+            .filter(|(b, e)| ir::hash::body_hash(&base, b) != ir::hash::body_hash(&edited, e))
+            .map(|(b, _)| b.name.as_str())
+            .collect();
+        assert_eq!(changed, ["next_byte"], "exactly one body changes");
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl DataflowStats {
 /// the solve deterministic — a requirement the pipeline's byte-identical
 /// output test enforces at every worker count — and near-optimal: on an
 /// acyclic graph every block is popped exactly once.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BlockWorklist {
     /// Pending (priority, block) pairs; smallest priority pops first.
     heap: BinaryHeap<Reverse<(usize, u32)>>,
@@ -82,16 +82,6 @@ pub struct BlockWorklist {
     queued: Vec<bool>,
     /// Pop priority per block index; `usize::MAX` marks unreachable.
     prio: Vec<usize>,
-}
-
-impl Default for BlockWorklist {
-    fn default() -> Self {
-        BlockWorklist {
-            heap: BinaryHeap::new(),
-            queued: Vec::new(),
-            prio: Vec::new(),
-        }
-    }
 }
 
 impl BlockWorklist {

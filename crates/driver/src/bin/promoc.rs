@@ -22,6 +22,7 @@
 use analysis::AnalysisLevel;
 use driver::{measure_program, Compilation, Metric, Session};
 use regalloc::AllocOptions;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -121,16 +122,35 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
     })
 }
 
+/// Why a command stopped: a message for the user, or a failed write to
+/// stdout (a closed pipe among them, which ends the program quietly).
+enum Failure {
+    Message(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
 /// Emits the requested trace outputs: remarks to stderr, JSONL to the
-/// requested path (or stdout for `-`).
-fn emit_trace(opts: &Options, c: &Compilation) -> Result<(), String> {
+/// requested path (or `out` for `-`).
+fn emit_trace(opts: &Options, c: &Compilation, out: &mut impl Write) -> Result<(), Failure> {
     if opts.remarks {
         eprint!("{}", c.remarks_text());
     }
     if let Some(path) = &opts.trace_json {
         let jsonl = c.trace_jsonl();
         if path == "-" {
-            print!("{jsonl}");
+            out.write_all(jsonl.as_bytes())?;
         } else {
             std::fs::write(path, jsonl).map_err(|e| format!("{path}: {e}"))?;
         }
@@ -138,14 +158,14 @@ fn emit_trace(opts: &Options, c: &Compilation) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(path: &str, opts: Options) -> Result<(), String> {
+fn cmd_run(path: &str, opts: Options, out: &mut impl Write) -> Result<(), Failure> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let session = opts.builder.clone().build();
     let c = session.compile_and_run(&src).map_err(|e| e.to_string())?;
-    emit_trace(&opts, &c)?;
+    emit_trace(&opts, &c, out)?;
     let outcome = c.outcome.as_ref().expect("run populates the outcome");
     for line in &outcome.output {
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
     eprintln!("; exit code  {}", outcome.exit_code);
     eprintln!(
@@ -171,19 +191,19 @@ fn cmd_run(path: &str, opts: Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compile(path: &str, opts: Options) -> Result<(), String> {
+fn cmd_compile(path: &str, opts: Options, out: &mut impl Write) -> Result<(), Failure> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let session = opts.builder.clone().build();
     let c = session.compile(&src).map_err(|e| e.to_string())?;
-    emit_trace(&opts, &c)?;
-    print!("{}", c.module);
+    emit_trace(&opts, &c, out)?;
+    write!(out, "{}", c.module)?;
     Ok(())
 }
 
-fn cmd_measure(name: &str, source: &str) -> Result<(), String> {
+fn cmd_measure(name: &str, source: &str, out: &mut impl Write) -> Result<(), Failure> {
     let rows = measure_program(name, source);
     for metric in [Metric::TotalOps, Metric::Stores, Metric::Loads] {
-        println!("{}", driver::render_figure(metric, &rows));
+        writeln!(out, "{}", driver::render_figure(metric, &rows))?;
     }
     Ok(())
 }
@@ -191,44 +211,48 @@ fn cmd_measure(name: &str, source: &str) -> Result<(), String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
+    // Every stdout write goes through one locked handle and reports its
+    // error, so a reader that hangs up early (`promoc ... | head`) ends
+    // the program instead of panicking inside `println!`.
+    let out = &mut io::stdout().lock();
     let result = match cmd.as_str() {
         "run" | "compile" => {
             let Some(path) = args.get(1) else { usage() };
             match parse_flags(&args[2..]) {
-                Ok(opts) if cmd == "run" => cmd_run(path, opts),
-                Ok(opts) => cmd_compile(path, opts),
-                Err(e) => Err(e),
+                Ok(opts) if cmd == "run" => cmd_run(path, opts, out),
+                Ok(opts) => cmd_compile(path, opts, out),
+                Err(e) => Err(e.into()),
             }
         }
         "measure" => {
             let Some(path) = args.get(1) else { usage() };
             match std::fs::read_to_string(path) {
-                Ok(src) => cmd_measure(path, &src),
-                Err(e) => Err(format!("{path}: {e}")),
+                Ok(src) => cmd_measure(path, &src, out),
+                Err(e) => Err(format!("{path}: {e}").into()),
             }
         }
         "bench" => {
             let Some(name) = args.get(1) else { usage() };
             match benchsuite::find(name) {
-                Some(b) => cmd_measure(b.name, b.source),
-                None => Err(format!("unknown benchmark `{name}`; try `promoc suite`")),
+                Some(b) => cmd_measure(b.name, b.source, out),
+                None => Err(format!("unknown benchmark `{name}`; try `promoc suite`").into()),
             }
         }
-        "suite" => {
-            for b in benchsuite::SUITE {
-                println!("{:<10} {}", b.name, b.description);
-            }
-            Ok(())
-        }
-        "--help" | "-h" | "help" => {
-            println!("{}", HELP.trim());
-            Ok(())
-        }
+        "suite" => benchsuite::SUITE
+            .iter()
+            .try_for_each(|b| writeln!(out, "{:<10} {}", b.name, b.description))
+            .map_err(Failure::from),
+        "--help" | "-h" | "help" => writeln!(out, "{}", HELP.trim()).map_err(Failure::from),
         _ => usage(),
     };
-    match result {
+    match result.and_then(|()| out.flush().map_err(Failure::from)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("promoc: stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(e)) => {
             eprintln!("promoc: {e}");
             ExitCode::FAILURE
         }

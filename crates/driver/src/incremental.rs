@@ -96,10 +96,6 @@ struct CacheEntry {
     /// classified: same body but different `fp` means an interprocedural
     /// fact or config change invalidated the function.
     h_body: u64,
-    /// Raw-text hint from [`minic::source_fingerprint`] at store time;
-    /// when the next compile's hint matches, `h_body` is reused without
-    /// re-walking the lowered IR.
-    text_hint: Option<u64>,
     /// Post-chain body with provisional spill ids still in place (the
     /// spill commit is replayed per compile so tag ids come out in
     /// function-index order, exactly as a cold compile interns them).
@@ -173,14 +169,6 @@ impl FuncCache {
         self.tick += 1;
     }
 
-    /// If `name` is cached and was stored under exactly this raw-text
-    /// hint, returns the memoized body hash — the short-circuit that lets
-    /// unchanged source text skip the canonical IR walk entirely.
-    pub(crate) fn cached_body_hash(&self, name: &str, hint: u64) -> Option<u64> {
-        let e = self.entries.get(name)?;
-        (e.text_hint == Some(hint)).then_some(e.h_body)
-    }
-
     /// The cached body-hash component for `name`, if any (for miss
     /// classification).
     pub(crate) fn peek_body_hash(&self, name: &str) -> Option<u64> {
@@ -223,7 +211,6 @@ impl FuncCache {
         fi: usize,
         fp: u64,
         h_body: u64,
-        text_hint: Option<u64>,
         outcome: &FuncOutcome,
         events: Vec<PassEvent>,
     ) {
@@ -251,7 +238,6 @@ impl FuncCache {
         let entry = CacheEntry {
             fp,
             h_body,
-            text_hint,
             approx_bytes: approx_entry_bytes(&body, &tag_names, &func_names, &events),
             body,
             tag_names,
@@ -308,7 +294,7 @@ fn approx_entry_bytes(
         .sum();
     instrs
         + func.blocks.len() * std::mem::size_of::<ir::Block>()
-        + events.len() * std::mem::size_of::<PassEvent>()
+        + std::mem::size_of_val(events)
         + names
         + func.name.len()
         + 256
@@ -576,42 +562,27 @@ pub(crate) fn fingerprint(
     )
 }
 
-/// Per-function fingerprint inputs for one compile, computed at the
-/// analysis barrier (facts and summaries are only meaningful after it).
-pub(crate) struct Fingerprints {
-    /// `(fp, h_body)` per function, module index order.
-    pub per_func: Vec<(u64, u64)>,
-    /// Raw-text hints (by function, `None` when no source fingerprint
-    /// was available or the name was ambiguous).
-    pub hints: Vec<Option<u64>>,
-}
-
-/// Computes every function's fingerprint. `hints` (from
-/// [`minic::source_fingerprint`]) short-circuit the canonical body walk
-/// for functions whose raw text — and that of everything lowered before
-/// them — is unchanged since the entry was stored.
+/// Computes every function's `(fp, h_body)` fingerprint pair, in module
+/// index order. Runs at the analysis barrier: facts and summaries are
+/// only meaningful after it.
 pub(crate) fn compute_fingerprints(
     module: &Module,
-    cache: &FuncCache,
     summaries: &[u64],
     recursive: &[bool],
     h_config: u64,
-    source: Option<&minic::SourceFingerprint>,
-) -> Fingerprints {
+) -> Vec<(u64, u64)> {
     let digests = TagDigests::new(module);
-    let mut per_func = Vec::with_capacity(module.funcs.len());
-    let mut hints = Vec::with_capacity(module.funcs.len());
-    for (i, func) in module.funcs.iter().enumerate() {
-        let hint = source.and_then(|s| s.hint(&func.name));
-        let h_body = hint
-            .and_then(|h| cache.cached_body_hash(&func.name, h))
-            .unwrap_or_else(|| body_hash(module, func));
-        let h_facts = facts_hash(&digests, func);
-        let fp = fingerprint(h_body, h_facts, summaries[i], h_config, recursive[i]);
-        per_func.push((fp, h_body));
-        hints.push(hint);
-    }
-    Fingerprints { per_func, hints }
+    module
+        .funcs
+        .iter()
+        .enumerate()
+        .map(|(i, func)| {
+            let h_body = body_hash(module, func);
+            let h_facts = facts_hash(&digests, func);
+            let fp = fingerprint(h_body, h_facts, summaries[i], h_config, recursive[i]);
+            (fp, h_body)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -682,9 +653,9 @@ mod tests {
         };
         cache.begin_compile();
         let o = FuncOutcome::default();
-        cache.store(&module, 0, 1, 1, None, &o, Vec::new());
+        cache.store(&module, 0, 1, 1, &o, Vec::new());
         cache.begin_compile();
-        cache.store(&module, 1, 2, 2, None, &o, Vec::new());
+        cache.store(&module, 1, 2, 2, &o, Vec::new());
         assert_eq!(cache.len(), 2);
         let evicted = cache.evict_to_budget();
         // Budget of one byte cannot hold either entry.

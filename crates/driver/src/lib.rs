@@ -52,9 +52,7 @@ mod session;
 pub use error::Error;
 pub use incremental::{FuncCache, IncrementalReport, DEFAULT_CACHE_BUDGET};
 pub use parallel::{parallel_map, resolve_threads, WorkerPool};
-pub use pipeline::{
-    run_pipeline_in, run_pipeline_traced, PassTiming, PassTimings, PipelineConfig, PipelineReport,
-};
+pub use pipeline::{run_pipeline, PassTiming, PassTimings, PipelineConfig, PipelineReport};
 pub use report::{measure_program, render_figure, MeasurementRow, Metric};
 pub use scratch::PassScratch;
 pub use session::{Compilation, Session, SessionBuilder};

@@ -29,6 +29,7 @@
 //! row carries a `cpu_summed` flag so consumers cannot silently compare
 //! the two kinds of number.
 
+use crate::incremental::FuncCache;
 use crate::parallel::WorkerPool;
 use crate::scratch::PassScratch;
 use analysis::{tarjan_sccs, AnalysisLevel, CallGraph};
@@ -91,7 +92,7 @@ pub struct PipelineConfig {
     #[doc(hidden)]
     pub reuse_scratch: bool,
     /// Collect structured optimization remarks and per-pass deltas into a
-    /// [`TraceLog`] (see [`run_pipeline_traced`]). Off by default; when
+    /// [`TraceLog`] (see [`run_pipeline`]). Off by default; when
     /// off, every trace hook is a single enum-discriminant test and no
     /// event is ever constructed.
     #[doc(hidden)]
@@ -337,46 +338,46 @@ impl StageClock {
     }
 }
 
-/// Mid-chain loop renormalization with the trace's stats cache kept
-/// coherent: when renormalization actually changes the body (landing-pad
-/// / preheader insertion, unreachable-block removal), the change is
-/// recorded as a `normalize` delta and the cache refreshed. The change
+/// Loop normalization under the trace's delta recorder: when it changes
+/// the body (landing-pad / preheader insertion, unreachable-block
+/// removal), the change is recorded as a `normalize` delta. The change
 /// check is a cheap structural signature — block count plus total
 /// instruction count — because normalization only inserts and deletes
-/// whole blocks and jumps, never rewrites an instruction in place; in
-/// the usual case (already normal, nothing to do) the signature is
-/// unchanged and no body scan happens at all.
-fn normalize_in_traced(
-    func: &mut ir::Function,
-    analyses: &mut cfg::FunctionAnalyses,
-    tr: &mut FuncTrace,
-) {
-    if !tr.enabled() {
-        cfg::normalize_loops_in(func, analyses);
-        return;
-    }
+/// whole blocks and jumps, never rewrites an instruction in place; in the
+/// usual case (already normal, nothing to do) the signature is unchanged
+/// and no after-scan happens.
+fn normalize(func: &mut ir::Function, analyses: &mut cfg::FunctionAnalyses, tr: &mut FuncTrace) {
     let signature = |f: &ir::Function| {
         (
             f.blocks.len(),
             f.blocks.iter().map(|b| b.instrs.len()).sum::<usize>(),
         )
     };
-    let sig_before = signature(func);
-    opt::with_delta("normalize", func, tr, |f| {
-        cfg::normalize_loops_in(f, analyses);
-        usize::from(signature(f) != sig_before)
-    });
+    tr.record_delta(
+        "normalize",
+        func,
+        |f| f.body_stats().into(),
+        |f, tr| {
+            let before = tr.enabled().then(|| signature(f));
+            cfg::normalize_loops_in(f, analyses);
+            before == Some(signature(f))
+        },
+        |&unchanged| unchanged,
+    );
 }
 
-/// Carries one function through the entire fused chain. Reads only the
-/// shared tag-table snapshot and per-function read-only facts, so any
-/// number of these run concurrently; all tag-table writes are deferred as
-/// [`PendingSpill`]s. `analyses` is the function's shared cache: a pass
-/// that changes nothing leaves it warm, and every downstream pass then
-/// reuses the artifacts instead of rebuilding them. `scratch` is the
-/// worker's pass arena: every pass's dense side tables and buffers live
-/// there, already sized by earlier functions, so the steady-state chain
-/// runs allocation-free.
+/// Carries one function through the entire fused chain: the one place
+/// each per-function pass is called. Reads only the shared tag-table
+/// snapshot and per-function read-only facts, so any number of these run
+/// concurrently; all tag-table writes are deferred as [`PendingSpill`]s.
+/// `analyses` is the function's shared cache: a pass that changes nothing
+/// leaves it warm, and every downstream pass then reuses the artifacts
+/// instead of rebuilding them. `scratch` is the worker's pass arena: every
+/// pass's dense side tables and buffers live there, already sized by
+/// earlier functions, so the steady-state chain runs allocation-free.
+// The module-wide read-only inputs plus one function's own state, as
+// the fan-out closure holds them; a struct would only regroup this call.
+#[allow(clippy::too_many_arguments)]
 fn run_fused_chain(
     tags: &ir::TagTable,
     func: &mut ir::Function,
@@ -390,30 +391,30 @@ fn run_fused_chain(
     let mut clock = StageClock::new();
     let mut o = FuncOutcome {
         strengthened: clock.timed("strengthen", || {
-            opt::strengthen_function_traced(tags, func, fid, recursive, analyses, tr)
+            opt::strengthen_function(tags, func, fid, recursive, analyses, tr)
         }),
         ..Default::default()
     };
     if config.promote {
         let cap = config.promotion_cap;
         o.scalar = clock.timed("promote", || {
-            normalize_in_traced(func, analyses, tr);
-            promote::promote_scalars_in_func_traced(tags, func, fid, recursive, cap, analyses, tr)
+            normalize(func, analyses, tr);
+            promote::promote_scalars_in_func(tags, func, fid, recursive, cap, analyses, tr)
         });
     }
     if config.optimize {
         o.lvn_rewrites += clock.timed("lvn", || {
-            opt::lvn_function_traced(func, analyses, &mut scratch.opt.lvn, tr)
+            opt::lvn_function(func, analyses, &mut scratch.opt.lvn, tr)
         });
         o.loads_eliminated = clock.timed("loadelim", || {
-            opt::loadelim_function_traced(func, analyses, &mut scratch.opt.loadelim, tr)
+            opt::loadelim_function(func, analyses, &mut scratch.opt.loadelim, tr)
         });
         o.constants_folded = clock.timed("constprop", || {
-            opt::constprop_function_traced(func, analyses, &mut scratch.opt.constprop, tr)
+            opt::constprop_function(func, analyses, &mut scratch.opt.constprop, tr)
         });
         o.licm_moved = clock.timed("licm", || {
-            normalize_in_traced(func, analyses, tr);
-            opt::licm_function_traced(func, analyses, &mut scratch.opt.licm, tr)
+            normalize(func, analyses, tr);
+            opt::licm_function(func, analyses, &mut scratch.opt.licm, tr)
         });
     }
     if config.pointer_promote {
@@ -421,19 +422,19 @@ fn run_fused_chain(
         // case earlier folding perturbed loop shapes (a no-op — and zero
         // rebuilds — when they did not).
         o.pointer = clock.timed("pointer-promote", || {
-            normalize_in_traced(func, analyses, tr);
-            promote::promote_pointers_in_func_traced(func, analyses, tr)
+            normalize(func, analyses, tr);
+            promote::promote_pointers_in_func(func, analyses, tr)
         });
     }
     if config.optimize {
         o.lvn_rewrites += clock.timed("lvn(2)", || {
-            opt::lvn_function_traced(func, analyses, &mut scratch.opt.lvn, tr)
+            opt::lvn_function(func, analyses, &mut scratch.opt.lvn, tr)
         });
         o.dce_removed = clock.timed("dce", || {
-            opt::dce_function_traced(func, analyses, &mut scratch.opt.dce, tr)
+            opt::dce_function(func, analyses, &mut scratch.opt.dce, tr)
         });
         o.cleaned += clock.timed("clean", || {
-            opt::clean_function_traced(func, analyses, &mut scratch.opt.clean, tr)
+            opt::clean_function(func, analyses, &mut scratch.opt.clean, tr)
         });
     }
     if let Some(opts) = &config.regalloc {
@@ -443,7 +444,7 @@ fn run_fused_chain(
         // exact tag table (ids and names) of a sequential run.
         let r = clock.timed("regalloc", || {
             let mut pending = Vec::new();
-            let r = regalloc::allocate_function_core_traced(
+            let r = regalloc::allocate_function(
                 tags,
                 func,
                 fid,
@@ -460,7 +461,7 @@ fn run_fused_chain(
             // Block cleaning is tag-agnostic, so it can run before the
             // provisional spill tags are interned.
             o.cleaned += clock.timed("clean(final)", || {
-                opt::clean_function_traced(func, analyses, &mut scratch.opt.clean, tr)
+                opt::clean_function(func, analyses, &mut scratch.opt.clean, tr)
             });
         }
     }
@@ -469,56 +470,29 @@ fn run_fused_chain(
 }
 
 /// Runs the configured pipeline over `module` in place, fanning the
-/// per-function work out over a caller-provided [`WorkerPool`]. Batch
-/// drivers (benchmarks, servers compiling many modules) should create one
-/// pool and reuse it across runs; the pool's worker count is what
-/// determines the parallelism (`config.threads` is only consulted by
+/// per-function work out over a caller-provided [`WorkerPool`], and
+/// returns the report with the structured [`TraceLog`]. Batch drivers
+/// (benchmarks, servers compiling many modules) should create one pool
+/// and reuse it across runs; the pool's worker count is what determines
+/// the parallelism (`config.threads` is only consulted by
 /// [`crate::Session`], which sizes its pool from it). The compiled output
 /// is byte-identical for every pool size.
-pub fn run_pipeline_in(
+///
+/// The log is empty unless `config.trace` is set; when it is, events are
+/// buffered per function inside the worker that owns the function and
+/// assembled here in function-index order, so the log is byte-identical
+/// at any pool size.
+///
+/// With a `cache`, functions whose fingerprints match it are spliced
+/// instead of recompiled and the fused fan-out covers only the residual
+/// set; the sequential epilogue (spill commit, counter and trace assembly
+/// in function-index order) is identical either way, which is what keeps
+/// warm output byte-identical to cold.
+pub fn run_pipeline(
     module: &mut Module,
     config: &PipelineConfig,
     pool: &WorkerPool,
-) -> PipelineReport {
-    run_pipeline_traced(module, config, pool).0
-}
-
-/// [`run_pipeline_in`] returning the structured [`TraceLog`] alongside the
-/// report. The log is empty unless `config.trace` is set; when it is,
-/// events are buffered per function inside the worker that owns the
-/// function and assembled here in function-index order, so the log is
-/// byte-identical at any pool size.
-pub fn run_pipeline_traced(
-    module: &mut Module,
-    config: &PipelineConfig,
-    pool: &WorkerPool,
-) -> (PipelineReport, TraceLog) {
-    run_pipeline_core(module, config, pool, None)
-}
-
-/// The incremental context a cache-backed run threads through the core:
-/// the session's function cache plus (when compiling from source) the
-/// raw-text fingerprint that lets unchanged functions skip the canonical
-/// body-hash walk.
-pub(crate) struct IncrementalRun<'a> {
-    /// The session's persistent per-function cache.
-    pub cache: &'a mut crate::incremental::FuncCache,
-    /// Raw-text hints for the module being compiled, if it came from
-    /// MiniC source this compile.
-    pub source: Option<&'a minic::SourceFingerprint>,
-}
-
-/// The one pipeline body behind both the plain and the incremental entry
-/// points. With `incr` set, functions whose fingerprints match the cache
-/// are spliced instead of recompiled and the fused fan-out covers only
-/// the residual set; the sequential epilogue (spill commit, counter and
-/// trace assembly in function-index order) is identical either way, which
-/// is what keeps warm output byte-identical to cold.
-pub(crate) fn run_pipeline_core(
-    module: &mut Module,
-    config: &PipelineConfig,
-    pool: &WorkerPool,
-    mut incr: Option<IncrementalRun<'_>>,
+    mut cache: Option<&mut FuncCache>,
 ) -> (PipelineReport, TraceLog) {
     let v = config.validate_each_pass;
     let mut report = PipelineReport::default();
@@ -558,18 +532,7 @@ pub(crate) fn run_pipeline_core(
             .zip(analyses.iter_mut())
             .zip(traces.iter_mut())
             .collect();
-        pool.run(items, |_, ((f, fa), tr)| {
-            let before = tr.enabled().then(|| f.body_stats());
-            cfg::normalize_loops_in(f, fa);
-            if let Some(before) = before {
-                let after = f.body_stats();
-                let (i, l, s) = before.delta(&after);
-                tr.delta("normalize", i, l, s);
-                // Seed the stats cache so the chain's first delta stage
-                // starts from this scan instead of redoing it.
-                tr.set_stats((after.instrs, after.loads, after.stores));
-            }
-        });
+        pool.run(items, |_, ((f, fa), tr)| normalize(f, fa, tr));
     });
     validate_if(module, v, "normalize");
     let outcome = timed(&mut timings, "analysis", || {
@@ -600,15 +563,14 @@ pub(crate) fn run_pipeline_core(
     // counters and trace suffix replayed), and leave only the misses for
     // the fused fan-out.
     let mut spliced: Vec<Option<FuncOutcome>> = module.funcs.iter().map(|_| None).collect();
-    let mut fingerprints = None;
+    let mut fingerprints = Vec::new();
     let mut incr_report = None;
-    if let Some(run) = incr.as_mut() {
-        run.cache.begin_compile();
+    if let Some(cache) = cache.as_deref_mut() {
+        cache.begin_compile();
         let summaries = analysis::modref_summary_hashes(module, &outcome.modref);
         let h_config = crate::incremental::config_hash(config);
-        let fps = crate::incremental::compute_fingerprints(
-            module, run.cache, &summaries, &recursive, h_config, run.source,
-        );
+        let fps =
+            crate::incremental::compute_fingerprints(module, &summaries, &recursive, h_config);
         let mut rep = crate::incremental::IncrementalReport {
             funcs_total: module.funcs.len(),
             ..Default::default()
@@ -616,8 +578,8 @@ pub(crate) fn run_pipeline_core(
         let mut bodies = Vec::new();
         let mut index = crate::incremental::SpliceIndex::new(module);
         for i in 0..module.funcs.len() {
-            let (fp, h_body) = fps.per_func[i];
-            match run.cache.splice(&mut index, i, fp) {
+            let (fp, h_body) = fps[i];
+            match cache.splice(&mut index, i, fp) {
                 Some((body, o, events)) => {
                     bodies.push((i, body));
                     traces[i].append_events(events);
@@ -626,7 +588,7 @@ pub(crate) fn run_pipeline_core(
                 }
                 None => {
                     rep.funcs_recompiled += 1;
-                    if run.cache.peek_body_hash(&module.funcs[i].name) == Some(h_body) {
+                    if cache.peek_body_hash(&module.funcs[i].name) == Some(h_body) {
                         rep.summary_invalidated += 1;
                     }
                 }
@@ -635,12 +597,12 @@ pub(crate) fn run_pipeline_core(
         for (i, body) in bodies {
             module.funcs[i] = body;
         }
-        fingerprints = Some(fps);
+        fingerprints = fps;
         incr_report = Some(rep);
     }
     // Event counts before the chain runs: the suffix past each mark is
     // exactly what the chain appends, which is what the cache memoizes.
-    let chain_marks: Vec<usize> = if incr.is_some() {
+    let chain_marks: Vec<usize> = if cache.is_some() {
         traces.iter().map(|t| t.event_count()).collect()
     } else {
         Vec::new()
@@ -689,13 +651,11 @@ pub(crate) fn run_pipeline_core(
         let o = o.expect("every function has a chain or cache outcome");
         // Memoize fresh chain output before the spill commit rewrites the
         // provisional tags out of the body.
-        if let Some(run) = incr.as_mut() {
+        if let Some(cache) = cache.as_deref_mut() {
             if !hit[fi] {
-                let fps = fingerprints.as_ref().expect("fingerprints computed");
-                let (fp, h_body) = fps.per_func[fi];
+                let (fp, h_body) = fingerprints[fi];
                 let events = traces[fi].events_from(chain_marks[fi]);
-                run.cache
-                    .store(module, fi, fp, h_body, fps.hints[fi], &o, events);
+                cache.store(module, fi, fp, h_body, &o, events);
             }
         }
         report.strengthened += o.strengthened;
@@ -753,10 +713,10 @@ pub(crate) fn run_pipeline_core(
     }
     validate_if(module, v, "fused per-function chain");
     report.timings = timings;
-    if let Some(run) = incr.as_mut() {
+    if let Some(cache) = cache {
         let rep = incr_report.as_mut().expect("incremental report started");
-        rep.evictions = run.cache.evict_to_budget();
-        rep.cache_bytes = run.cache.bytes();
+        rep.evictions = cache.evict_to_budget();
+        rep.cache_bytes = cache.bytes();
     }
     report.incremental = incr_report;
     // Assemble the log in function-index order — the determinism

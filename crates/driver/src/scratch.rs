@@ -1,8 +1,8 @@
 //! The per-worker pass scratch arena.
 //!
-//! Every pass in the fused chain exposes a `*_function_in`-style entry
-//! point taking caller-owned scratch state (dense epoch-stamped side
-//! tables, reusable worklists, rewrite buffers). [`PassScratch`] bundles
+//! Every pass in the fused chain that keeps side tables (dense
+//! epoch-stamped maps, reusable worklists, rewrite buffers) takes them as
+//! caller-owned scratch state in its pipeline entry point. [`PassScratch`] bundles
 //! all of them: each [`crate::WorkerPool`] worker owns one, reuses it for
 //! every function it carries through the chain, and keeps it across
 //! pipeline runs — so a warm pool's steady-state hot loop allocates

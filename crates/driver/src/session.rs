@@ -37,9 +37,7 @@
 use crate::error::Error;
 use crate::incremental::{FuncCache, DEFAULT_CACHE_BUDGET};
 use crate::parallel::{resolve_threads, WorkerPool};
-use crate::pipeline::{
-    run_pipeline_core, run_pipeline_traced, IncrementalRun, PipelineConfig, PipelineReport,
-};
+use crate::pipeline::{run_pipeline, PipelineConfig, PipelineReport};
 use analysis::AnalysisLevel;
 use ir::Module;
 use regalloc::AllocOptions;
@@ -115,39 +113,22 @@ impl Session {
     /// the report and trace log. The module is validated afterwards; a
     /// validation failure is returned as [`Error::Validate`] rather than
     /// a panic. On an incremental session the module's functions are
-    /// fingerprinted against the session cache (without raw-text hints —
-    /// those need the source, see [`compile`](Self::compile)).
+    /// fingerprinted against the session cache; [`compile`](Self::compile)
+    /// goes through here too.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Validate`] if the pipeline produced invalid IL.
     pub fn optimize(&self, module: &mut Module) -> Result<(PipelineReport, TraceLog), Error> {
-        self.optimize_with_source(module, None)
-    }
-
-    fn optimize_with_source(
-        &self,
-        module: &mut Module,
-        source: Option<&minic::SourceFingerprint>,
-    ) -> Result<(PipelineReport, TraceLog), Error> {
-        let (report, log) = match &self.cache {
-            Some(cache) => {
-                // A poisoned lock only means an earlier compile panicked;
-                // the cache is mutated sequentially in the epilogue, one
-                // whole entry at a time, so whatever it holds is valid.
-                let mut cache = cache.lock().unwrap_or_else(|p| p.into_inner());
-                run_pipeline_core(
-                    module,
-                    &self.config,
-                    &self.pool,
-                    Some(IncrementalRun {
-                        cache: &mut cache,
-                        source,
-                    }),
-                )
-            }
-            None => run_pipeline_traced(module, &self.config, &self.pool),
-        };
+        // A poisoned lock only means an earlier compile panicked; the
+        // cache is mutated sequentially in the epilogue, one whole entry
+        // at a time, so whatever it holds is valid.
+        let mut cache = self
+            .cache
+            .as_ref()
+            .map(|c| c.lock().unwrap_or_else(|p| p.into_inner()));
+        let (report, log) = run_pipeline(module, &self.config, &self.pool, cache.as_deref_mut());
+        drop(cache);
         ir::validate(module)?;
         Ok((report, log))
     }
@@ -170,10 +151,7 @@ impl Session {
             });
             frontend.compile(src)?
         };
-        // Raw-text hints let unchanged functions skip even the canonical
-        // body-hash walk on incremental sessions.
-        let source = self.cache.is_some().then(|| minic::source_fingerprint(src));
-        let (report, trace) = self.optimize_with_source(&mut module, source.as_ref())?;
+        let (report, trace) = self.optimize(&mut module)?;
         Ok(Compilation {
             module,
             report,

@@ -20,6 +20,9 @@
 
 use cfg::{liveness, Cfg, DomTree, FunctionAnalyses, LoopForest, LoopGeometry};
 use ir::{BinOp, BlockId, FuncId, Function, FunctionBuilder, Instr, Reg, TagId, TagKind, TagTable};
+use opt::OptScratch;
+use regalloc::AllocScratch;
+use trace::FuncTrace;
 
 /// Deterministic xorshift64* PRNG.
 struct Rng(u64);
@@ -182,6 +185,10 @@ fn cached_artifacts_match_fresh_builds_after_every_pass() {
         ..Default::default()
     };
     let mut rng = Rng::new(0xCAC4_E5A1_7D1F_F00D);
+    // One arena per pass family, reused across cases as a pipeline worker
+    // reuses its own across functions.
+    let (mut scratch, mut alloc) = (OptScratch::default(), AllocScratch::default());
+    let tr = &mut FuncTrace::off();
     for case in 0..200 {
         let mut func = random_function(&mut rng, &tag_ids);
         let fid = FuncId(0);
@@ -190,33 +197,33 @@ fn cached_artifacts_match_fresh_builds_after_every_pass() {
 
         cfg::normalize_loops_in(f, &mut fa);
         assert_cache_fresh_normalized(f, &mut fa, case, "normalize");
-        opt::strengthen_function(&tags, f, fid, false, &mut fa);
+        opt::strengthen_function(&tags, f, fid, false, &mut fa, tr);
         assert_cache_fresh(f, &mut fa, case, "strengthen");
         cfg::normalize_loops_in(f, &mut fa);
-        promote::promote_scalars_in_func_core(&tags, f, fid, false, None, &mut fa);
+        promote::promote_scalars_in_func(&tags, f, fid, false, None, &mut fa, tr);
         assert_cache_fresh_normalized(f, &mut fa, case, "promote");
-        opt::lvn_function(f, &mut fa);
+        opt::lvn_function(f, &mut fa, &mut scratch.lvn, tr);
         assert_cache_fresh(f, &mut fa, case, "lvn");
-        opt::loadelim_function(f, &mut fa);
+        opt::loadelim_function(f, &mut fa, &mut scratch.loadelim, tr);
         assert_cache_fresh(f, &mut fa, case, "loadelim");
-        opt::constprop_function(f, &mut fa);
+        opt::constprop_function(f, &mut fa, &mut scratch.constprop, tr);
         assert_cache_fresh(f, &mut fa, case, "constprop");
         cfg::normalize_loops_in(f, &mut fa);
-        opt::licm_function(f, &mut fa);
+        opt::licm_function(f, &mut fa, &mut scratch.licm, tr);
         assert_cache_fresh_normalized(f, &mut fa, case, "licm");
         cfg::normalize_loops_in(f, &mut fa);
-        promote::promote_pointers_in_func_core(f, &mut fa);
+        promote::promote_pointers_in_func(f, &mut fa, tr);
         assert_cache_fresh_normalized(f, &mut fa, case, "pointer-promote");
-        opt::lvn_function(f, &mut fa);
+        opt::lvn_function(f, &mut fa, &mut scratch.lvn, tr);
         assert_cache_fresh(f, &mut fa, case, "lvn(2)");
-        opt::dce_function(f, &mut fa);
+        opt::dce_function(f, &mut fa, &mut scratch.dce, tr);
         assert_cache_fresh(f, &mut fa, case, "dce");
-        opt::clean_function(f, &mut fa);
+        opt::clean_function(f, &mut fa, &mut scratch.clean, tr);
         assert_cache_fresh(f, &mut fa, case, "clean");
         let mut pending = Vec::new();
-        regalloc::allocate_function_core(&tags, f, fid, &opts, &mut pending, &mut fa);
+        regalloc::allocate_function(&tags, f, fid, &opts, &mut pending, &mut fa, &mut alloc, tr);
         assert_cache_fresh(f, &mut fa, case, "regalloc");
-        opt::clean_function(f, &mut fa);
+        opt::clean_function(f, &mut fa, &mut scratch.clean, tr);
         assert_cache_fresh(f, &mut fa, case, "clean(final)");
     }
 }
@@ -229,6 +236,8 @@ fn cached_artifacts_match_fresh_builds_after_every_pass() {
 fn converged_passes_skip_all_rebuilds() {
     let (tags, tag_ids) = test_tags();
     let mut rng = Rng::new(0x5EED_CAFE_0000_0001);
+    let scratch = &mut OptScratch::default();
+    let tr = &mut FuncTrace::off();
     for case in 0..200 {
         let mut func = random_function(&mut rng, &tag_ids);
         let fid = FuncId(0);
@@ -242,12 +251,12 @@ fn converged_passes_skip_all_rebuilds() {
         // no-change fast path is asserted separately below.)
         for _ in 0..8 {
             let mut changed = 0;
-            changed += opt::strengthen_function(&tags, f, fid, false, &mut fa);
-            changed += opt::lvn_function(f, &mut fa);
-            changed += opt::loadelim_function(f, &mut fa);
-            changed += opt::constprop_function(f, &mut fa);
-            changed += opt::dce_function(f, &mut fa);
-            changed += opt::clean_function(f, &mut fa);
+            changed += opt::strengthen_function(&tags, f, fid, false, &mut fa, tr);
+            changed += opt::lvn_function(f, &mut fa, &mut scratch.lvn, tr);
+            changed += opt::loadelim_function(f, &mut fa, &mut scratch.loadelim, tr);
+            changed += opt::constprop_function(f, &mut fa, &mut scratch.constprop, tr);
+            changed += opt::dce_function(f, &mut fa, &mut scratch.dce, tr);
+            changed += opt::clean_function(f, &mut fa, &mut scratch.clean, tr);
             if changed == 0 {
                 break;
             }
@@ -260,12 +269,12 @@ fn converged_passes_skip_all_rebuilds() {
 
         // A converged round touches nothing, so the cache must serve every
         // analysis request without a single construction.
-        opt::strengthen_function(&tags, f, fid, false, &mut fa);
-        opt::lvn_function(f, &mut fa);
-        opt::loadelim_function(f, &mut fa);
-        opt::constprop_function(f, &mut fa);
-        opt::dce_function(f, &mut fa);
-        opt::clean_function(f, &mut fa);
+        opt::strengthen_function(&tags, f, fid, false, &mut fa, tr);
+        opt::lvn_function(f, &mut fa, &mut scratch.lvn, tr);
+        opt::loadelim_function(f, &mut fa, &mut scratch.loadelim, tr);
+        opt::constprop_function(f, &mut fa, &mut scratch.constprop, tr);
+        opt::dce_function(f, &mut fa, &mut scratch.dce, tr);
+        opt::clean_function(f, &mut fa, &mut scratch.clean, tr);
 
         assert_eq!(
             fa.builds, before,

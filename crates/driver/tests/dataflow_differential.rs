@@ -22,7 +22,8 @@
 
 use cfg::{liveness_dense, Cfg, FunctionAnalyses};
 use ir::{BinOp, BlockId, Function, FunctionBuilder, Instr, Reg, TagId, TagKind, TagTable};
-use opt::Lat;
+use opt::{Lat, OptScratch};
+use trace::FuncTrace;
 
 /// Deterministic xorshift64* PRNG.
 struct Rng(u64);
@@ -203,13 +204,14 @@ fn incremental_liveness_after_scoped_edit_matches_fresh() {
 fn sparse_dce_and_loadelim_rewrite_identically_to_dense() {
     let (_, tag_ids) = test_tags();
     let mut rng = Rng::new(0xD1FF_0000_0000_0003);
+    let (scratch, tr) = (&mut OptScratch::default(), &mut FuncTrace::off());
     for case in 0..300 {
         let func = random_function(&mut rng, &tag_ids);
 
         let mut f_sparse = func.clone();
         let mut f_dense = func.clone();
-        let ns = opt::dce_function(&mut f_sparse, &mut sparse_cache());
-        let nd = opt::dce_function(&mut f_dense, &mut dense_cache());
+        let ns = opt::dce_function(&mut f_sparse, &mut sparse_cache(), &mut scratch.dce, tr);
+        let nd = opt::dce_function(&mut f_dense, &mut dense_cache(), &mut scratch.dce, tr);
         assert_eq!(ns, nd, "case {case}: dce removal counts diverged");
         assert_eq!(
             f_sparse, f_dense,
@@ -218,8 +220,14 @@ fn sparse_dce_and_loadelim_rewrite_identically_to_dense() {
 
         let mut f_sparse = func.clone();
         let mut f_dense = func.clone();
-        let ns = opt::loadelim_function(&mut f_sparse, &mut sparse_cache());
-        let nd = opt::loadelim_function(&mut f_dense, &mut dense_cache());
+        let ns = opt::loadelim_function(
+            &mut f_sparse,
+            &mut sparse_cache(),
+            &mut scratch.loadelim,
+            tr,
+        );
+        let nd =
+            opt::loadelim_function(&mut f_dense, &mut dense_cache(), &mut scratch.loadelim, tr);
         assert_eq!(ns, nd, "case {case}: loadelim rewrite counts diverged");
         assert_eq!(
             f_sparse, f_dense,
@@ -310,8 +318,14 @@ fn sccp_folds_through_a_dead_branch_arm_where_dense_cannot() {
         f
     };
 
+    let (scratch, tr) = (&mut OptScratch::default(), &mut FuncTrace::off());
     let mut f_sparse = build();
-    opt::constprop_function(&mut f_sparse, &mut sparse_cache());
+    opt::constprop_function(
+        &mut f_sparse,
+        &mut sparse_cache(),
+        &mut scratch.constprop,
+        tr,
+    );
     let folded = f_sparse.blocks[3].instrs.iter().any(|i| {
         matches!(
             i,
@@ -327,7 +341,7 @@ fn sccp_folds_through_a_dead_branch_arm_where_dense_cannot() {
     );
 
     let mut f_dense = build();
-    opt::constprop_function(&mut f_dense, &mut dense_cache());
+    opt::constprop_function(&mut f_dense, &mut dense_cache(), &mut scratch.constprop, tr);
     let folded = f_dense.blocks[3]
         .instrs
         .iter()

@@ -308,9 +308,9 @@ fn tiny_cache_budget_still_compiles_correctly() {
 }
 
 #[test]
-fn optimize_entry_point_uses_the_cache_without_hints() {
-    // `Session::optimize` has no source text, so fingerprints come from
-    // the canonical IR walk alone — hits must still happen.
+fn optimize_entry_point_hits_the_cache() {
+    // `Session::optimize` takes an already-lowered module: fingerprints
+    // come from the canonical IR alone, and an unchanged module hits.
     let warm = incremental_session(1);
     let src = "int g; int main() { g = 41; print_int(g + 1); return 0; }";
     let mut m1 = minic::compile(src).expect("lowering");

@@ -431,9 +431,9 @@ fn render_stmt(s: &Stmt, depth: usize, out: &mut String) {
             body,
         } => match kind {
             LoopKind::For => {
-                let _ = write!(
+                let _ = writeln!(
                     out,
-                    "for ({counter} = 0; {counter} < {bound}; {counter}++) {{\n"
+                    "for ({counter} = 0; {counter} < {bound}; {counter}++) {{"
                 );
                 render_block(body, depth + 1, out);
                 indent(out, depth);
@@ -442,7 +442,7 @@ fn render_stmt(s: &Stmt, depth: usize, out: &mut String) {
             LoopKind::While => {
                 let _ = writeln!(out, "{counter} = 0;");
                 indent(out, depth);
-                let _ = write!(out, "while ({counter} < {bound}) {{\n");
+                let _ = writeln!(out, "while ({counter} < {bound}) {{");
                 render_block(body, depth + 1, out);
                 indent(out, depth + 1);
                 let _ = writeln!(out, "{counter} = {counter} + 1;");

@@ -15,7 +15,7 @@ impl Rng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.0;
         x ^= x >> 12;
         x ^= x << 25;
@@ -26,7 +26,7 @@ impl Rng {
 
     /// Uniform value in `[0, bound)`; `bound` must be nonzero.
     pub fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
+        self.next_u64() % bound
     }
 
     /// Uniform value in `[lo, hi]` inclusive.
@@ -54,15 +54,15 @@ mod tests {
     fn deterministic_and_seed_sensitive() {
         let a: Vec<u64> = {
             let mut r = Rng::new(7);
-            (0..8).map(|_| r.next()).collect()
+            (0..8).map(|_| r.next_u64()).collect()
         };
         let b: Vec<u64> = {
             let mut r = Rng::new(7);
-            (0..8).map(|_| r.next()).collect()
+            (0..8).map(|_| r.next_u64()).collect()
         };
         let c: Vec<u64> = {
             let mut r = Rng::new(8);
-            (0..8).map(|_| r.next()).collect()
+            (0..8).map(|_| r.next_u64()).collect()
         };
         assert_eq!(a, b);
         assert_ne!(a, c);

@@ -187,14 +187,11 @@ pub struct BodyStats {
     pub stores: usize,
 }
 
-impl BodyStats {
-    /// Per-field `self - after`, as signed counts (negative = inserted).
-    pub fn delta(&self, after: &BodyStats) -> (i64, i64, i64) {
-        (
-            self.instrs as i64 - after.instrs as i64,
-            self.loads as i64 - after.loads as i64,
-            self.stores as i64 - after.stores as i64,
-        )
+impl From<BodyStats> for (usize, usize, usize) {
+    /// `(instrs, loads, stores)`: the shape `trace::FuncTrace::record_delta`
+    /// snapshots.
+    fn from(s: BodyStats) -> Self {
+        (s.instrs, s.loads, s.stores)
     }
 }
 

@@ -359,7 +359,7 @@ mod tests {
             "continue",
         ];
         for kw in keywords {
-            assert_eq!(Tok::keyword(kw.as_bytes()).is_some(), true);
+            assert!(Tok::keyword(kw.as_bytes()).is_some());
             for decorated in [format!("{kw}x"), format!("{kw}_"), format!("x{kw}")] {
                 let (interner, ts) = lex(&decorated).unwrap();
                 let Tok::Ident(sym) = ts[0].tok else {

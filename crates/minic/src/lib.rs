@@ -39,7 +39,6 @@
 pub mod ast;
 pub mod classic;
 mod error;
-mod fingerprint;
 mod frontend;
 mod intern;
 mod lexer;
@@ -48,7 +47,6 @@ mod parser;
 mod token;
 
 pub use error::{FrontError, Phase};
-pub use fingerprint::{source_fingerprint, FuncSpan, SourceFingerprint};
 pub use frontend::{compile, Frontend};
 pub use intern::{Interner, Symbol};
 pub use token::{Pos, Tok, Token};

@@ -8,8 +8,9 @@
 
 use cfg::{remove_unreachable_blocks_in, FunctionAnalyses};
 use ir::{BlockId, Function, Instr, Module};
+use trace::FuncTrace;
 
-/// Reusable buffers for [`clean_function_in`]: the jump-forwarding table,
+/// Reusable buffers for [`clean_function`]: the jump-forwarding table,
 /// length-reset per call so its capacity survives across functions.
 #[derive(Default)]
 pub struct CleanScratch {
@@ -18,14 +19,22 @@ pub struct CleanScratch {
 
 /// Runs the cleaner on one function. Returns the number of changes.
 ///
-/// Convenience wrapper over [`clean_function_in`] with a throwaway scratch.
-pub fn clean_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    clean_function_in(func, analyses, &mut CleanScratch::default())
+/// This is the pipeline entry point: `analyses` is the function's shared
+/// cache, `scratch` the worker's arena for this pass, and a `clean` delta
+/// is recorded in `tr` when tracing is on.
+pub fn clean_function(
+    func: &mut Function,
+    analyses: &mut FunctionAnalyses,
+    scratch: &mut CleanScratch,
+    tr: &mut FuncTrace,
+) -> usize {
+    crate::recorded("clean", func, tr, |f| {
+        clean_function_in(f, analyses, scratch)
+    })
 }
 
-/// [`clean_function`] against caller-owned scratch buffers: the
-/// zero-allocation path the fused pipeline chain uses.
-pub fn clean_function_in(
+/// The body of [`clean_function`].
+fn clean_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
     scratch: &mut CleanScratch,
@@ -144,7 +153,11 @@ mod tests {
         b.switch_to(end);
         b.ret(None);
         let mut f = b.finish();
-        let changes = clean_function(&mut f, &mut FunctionAnalyses::new());
+        let changes = clean_function_in(
+            &mut f,
+            &mut FunctionAnalyses::new(),
+            &mut CleanScratch::default(),
+        );
         assert!(changes >= 2);
         // After nop removal B0 itself becomes a forwarder, so everything
         // collapses to the single return block.
@@ -164,7 +177,11 @@ mod tests {
         b.switch_to(t);
         b.ret(None);
         let mut f = b.finish();
-        clean_function(&mut f, &mut FunctionAnalyses::new());
+        clean_function_in(
+            &mut f,
+            &mut FunctionAnalyses::new(),
+            &mut CleanScratch::default(),
+        );
         assert!(matches!(
             f.block(f.entry).terminator(),
             Some(Instr::Jump { .. })
@@ -179,7 +196,11 @@ mod tests {
         b.switch_to(real);
         b.ret(None);
         let mut f = b.finish();
-        clean_function(&mut f, &mut FunctionAnalyses::new());
+        clean_function_in(
+            &mut f,
+            &mut FunctionAnalyses::new(),
+            &mut CleanScratch::default(),
+        );
         assert_eq!(f.blocks.len(), 1);
         assert!(matches!(
             f.block(f.entry).terminator(),
@@ -196,7 +217,11 @@ mod tests {
         b.switch_to(l);
         b.jump(l);
         let mut f = b.finish();
-        clean_function(&mut f, &mut FunctionAnalyses::new());
+        clean_function_in(
+            &mut f,
+            &mut FunctionAnalyses::new(),
+            &mut CleanScratch::default(),
+        );
         let m = {
             let mut m = Module::new();
             m.add_func(f);
@@ -204,17 +229,4 @@ mod tests {
         };
         ir::validate(&m).expect("still valid");
     }
-}
-
-/// [`clean_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn clean_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut CleanScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("clean", func, tr, |f| {
-        clean_function_in(f, analyses, scratch)
-    })
 }

@@ -17,6 +17,7 @@
 
 use cfg::{BlockWorklist, Cfg, DataflowStats, Direction, FunctionAnalyses};
 use ir::{BinOp, CmpOp, Function, Instr, Module, Reg, UnaryOp};
+use trace::FuncTrace;
 
 /// One register's abstract value: unknown-as-yet (⊤), a proven constant,
 /// or proven varying (⊥).
@@ -151,7 +152,7 @@ pub struct ConstLattice {
     pub input: Vec<Vec<Lat>>,
 }
 
-/// Reusable solver state for [`constprop_function_in`]: the per-block
+/// Reusable solver state for [`constprop_function`]: the per-block
 /// lattice inputs flattened into one `blocks × nregs` vector, the
 /// executable-block bitmap, the walking state, and the worklist. Length-
 /// reset per call; capacity survives across functions.
@@ -295,15 +296,22 @@ pub fn analyze_constants(
 
 /// Runs constant propagation over one function. Returns rewrites made.
 ///
-/// Convenience wrapper over [`constprop_function_in`] with a throwaway
-/// scratch.
-pub fn constprop_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    constprop_function_in(func, analyses, &mut ConstScratch::default())
+/// This is the pipeline entry point: `analyses` is the function's shared
+/// cache, `scratch` the worker's arena for this pass, and a `constprop` delta
+/// is recorded in `tr` when tracing is on.
+pub fn constprop_function(
+    func: &mut Function,
+    analyses: &mut FunctionAnalyses,
+    scratch: &mut ConstScratch,
+    tr: &mut FuncTrace,
+) -> usize {
+    crate::recorded("constprop", func, tr, |f| {
+        constprop_function_in(f, analyses, scratch)
+    })
 }
 
-/// [`constprop_function`] against caller-owned scratch buffers: the
-/// zero-allocation path the fused pipeline chain uses.
-pub fn constprop_function_in(
+/// The body of [`constprop_function`].
+fn constprop_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
     scratch: &mut ConstScratch,
@@ -330,7 +338,7 @@ pub fn constprop_function_in(
             let folded: Option<Instr> = match instr {
                 Instr::Binary { dst, .. } | Instr::Cmp { dst, .. } | Instr::Unary { dst, .. } => {
                     let dst = *dst;
-                    match eval(instr, &state) {
+                    match eval(instr, state) {
                         Lat::Int(v) => Some(Instr::IConst { dst, value: v }),
                         Lat::Float(v) => Some(Instr::FConst { dst, value: v }),
                         _ => None,
@@ -592,17 +600,4 @@ B0:
             Instr::Binary { .. }
         ));
     }
-}
-
-/// [`constprop_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn constprop_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut ConstScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("constprop", func, tr, |f| {
-        constprop_function_in(f, analyses, scratch)
-    })
 }

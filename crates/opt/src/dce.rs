@@ -14,8 +14,9 @@
 
 use cfg::{DataflowStats, FunctionAnalyses};
 use ir::{Function, Module, Reg};
+use trace::FuncTrace;
 
-/// Reusable mark-and-sweep buffers for [`dce_function_in`]: the live
+/// Reusable mark-and-sweep buffers for [`dce_function`]: the live
 /// bitmap plus the CSR def→uses map of the sparse marker. All vectors are
 /// length-reset (`clear` + `resize`) per call, so their capacity survives
 /// across functions and the steady state allocates nothing.
@@ -125,14 +126,20 @@ fn mark_sparse(func: &Function, scratch: &mut DceScratch, stats: &mut DataflowSt
 
 /// Runs DCE on one function. Returns the number of instructions removed.
 ///
-/// Convenience wrapper over [`dce_function_in`] with a throwaway scratch.
-pub fn dce_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    dce_function_in(func, analyses, &mut DceScratch::default())
+/// This is the pipeline entry point: `analyses` is the function's shared
+/// cache, `scratch` the worker's arena for this pass, and a `dce` delta
+/// is recorded in `tr` when tracing is on.
+pub fn dce_function(
+    func: &mut Function,
+    analyses: &mut FunctionAnalyses,
+    scratch: &mut DceScratch,
+    tr: &mut FuncTrace,
+) -> usize {
+    crate::recorded("dce", func, tr, |f| dce_function_in(f, analyses, scratch))
 }
 
-/// [`dce_function`] against caller-owned scratch buffers: the
-/// zero-allocation path the fused pipeline chain uses.
-pub fn dce_function_in(
+/// The body of [`dce_function`].
+fn dce_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
     scratch: &mut DceScratch,
@@ -206,7 +213,14 @@ mod tests {
         b.ret(Some(live));
         let mut f = b.finish();
         f.has_result = true;
-        assert_eq!(dce_function(&mut f, &mut FunctionAnalyses::new()), 1);
+        assert_eq!(
+            dce_function_in(
+                &mut f,
+                &mut FunctionAnalyses::new(),
+                &mut DceScratch::default()
+            ),
+            1
+        );
         assert_eq!(f.instr_count(), 4);
     }
 
@@ -217,7 +231,14 @@ mod tests {
         b.call_intrinsic(Intrinsic::PrintInt, vec![a]);
         b.ret(None);
         let mut f = b.finish();
-        assert_eq!(dce_function(&mut f, &mut FunctionAnalyses::new()), 0);
+        assert_eq!(
+            dce_function_in(
+                &mut f,
+                &mut FunctionAnalyses::new(),
+                &mut DceScratch::default()
+            ),
+            0
+        );
     }
 
     #[test]
@@ -249,17 +270,13 @@ B0:
         b.ret(Some(d));
         let mut f = b.finish();
         f.has_result = true;
-        assert_eq!(dce_function(&mut f, &mut FunctionAnalyses::new()), 0);
+        assert_eq!(
+            dce_function_in(
+                &mut f,
+                &mut FunctionAnalyses::new(),
+                &mut DceScratch::default()
+            ),
+            0
+        );
     }
-}
-
-/// [`dce_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn dce_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut DceScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("dce", func, tr, |f| dce_function_in(f, analyses, scratch))
 }

@@ -16,6 +16,13 @@
 //! * [`clean`] — nop removal, jump threading, empty-block removal;
 //! * [`strengthen`] — Table-1 opcode strengthening after analysis.
 //!
+//! Each pass has two entry points. The module-level one (`lvn(module)`)
+//! is a convenience for tests and examples. The `*_function` one is what
+//! the driver's fused chain calls per function: it takes the function's
+//! shared analysis cache, the worker's [`OptScratch`] field for the pass,
+//! and the function's [`trace::FuncTrace`], in which it records the
+//! pass's delta when tracing is on.
+//!
 //! ```
 //! let mut module = minic::compile(r#"
 //!     int main() {
@@ -40,18 +47,15 @@ mod loadelim;
 mod lvn;
 mod strengthen;
 
-pub use clean::{clean, clean_function, clean_function_in, clean_function_traced, CleanScratch};
+pub use clean::{clean, clean_function, CleanScratch};
 pub use constprop::{
-    analyze_constants, constprop, constprop_function, constprop_function_in,
-    constprop_function_traced, ConstLattice, ConstScratch, Lat,
+    analyze_constants, constprop, constprop_function, ConstLattice, ConstScratch, Lat,
 };
-pub use dce::{dce, dce_function, dce_function_in, dce_function_traced, DceScratch};
-pub use licm::{licm, licm_function, licm_function_in, licm_function_traced, LicmScratch};
-pub use loadelim::{
-    loadelim, loadelim_function, loadelim_function_in, loadelim_function_traced, LoadelimScratch,
-};
-pub use lvn::{lvn, lvn_function, lvn_function_in, lvn_function_traced, LvnScratch};
-pub use strengthen::{strengthen, strengthen_function, strengthen_function_traced};
+pub use dce::{dce, dce_function, DceScratch};
+pub use licm::{licm, licm_function, LicmScratch};
+pub use loadelim::{loadelim, loadelim_function, LoadelimScratch};
+pub use lvn::{lvn, lvn_function, LvnScratch};
+pub use strengthen::{strengthen, strengthen_function};
 
 /// One scratch arena covering every pass in this crate: what a pipeline
 /// worker owns (one per thread) and threads through the fused pass chain,
@@ -60,56 +64,37 @@ pub use strengthen::{strengthen, strengthen_function, strengthen_function_traced
 /// bumps and length-resets) at the start of each pass invocation.
 #[derive(Default)]
 pub struct OptScratch {
-    /// [`lvn_function_in`] tables.
+    /// [`lvn_function`] tables.
     pub lvn: LvnScratch,
-    /// [`constprop_function_in`] lattice and worklist.
+    /// [`constprop_function`] lattice and worklist.
     pub constprop: ConstScratch,
-    /// [`loadelim_function_in`] fact maps and worklist.
+    /// [`loadelim_function`] fact maps and worklist.
     pub loadelim: LoadelimScratch,
-    /// [`licm_function_in`] hoisting tables.
+    /// [`licm_function`] hoisting tables.
     pub licm: LicmScratch,
-    /// [`dce_function_in`] mark buffers.
+    /// [`dce_function`] mark buffers.
     pub dce: DceScratch,
-    /// [`clean_function_in`] forwarding table.
+    /// [`clean_function`] forwarding table.
     pub clean: CleanScratch,
 }
 
-use ir::{BodyStats, Function};
+use ir::Function;
 use trace::FuncTrace;
 
-/// Runs one pass body over `func` and, when tracing is enabled, records a
-/// before-minus-after [`trace::PassEvent::Delta`] under `pass`.
-///
-/// When tracing is off this is a direct call — the stats scans are never
-/// performed, which is what keeps the disabled path free. When it is on,
-/// consecutive delta stages share scans through the [`FuncTrace`] stats
-/// cache: this pass's after-scan becomes the next pass's before-count,
-/// and a pass that reports zero rewrites costs no scan at all.
-///
-/// Contract: `pass_fn` must return 0 **only** when it left the function
-/// body untouched — true of every counting pass in this crate — because
-/// a zero return keeps the cached stats live without rescanning.
-pub fn with_delta(
+/// Runs one pass body under [`FuncTrace::record_delta`]. Every pass in
+/// this crate returns its rewrite count and returns 0 only when it left
+/// the body untouched, so a zero return skips the after-scan.
+fn recorded(
     pass: &'static str,
     func: &mut Function,
     tr: &mut FuncTrace,
-    pass_fn: impl FnOnce(&mut Function) -> usize,
+    body: impl FnOnce(&mut Function) -> usize,
 ) -> usize {
-    if !tr.enabled() {
-        return pass_fn(func);
-    }
-    let before = match tr.cached_stats() {
-        Some((instrs, loads, stores)) => BodyStats {
-            instrs,
-            loads,
-            stores,
-        },
-        None => func.body_stats(),
-    };
-    let n = pass_fn(func);
-    let after = if n == 0 { before } else { func.body_stats() };
-    let (instrs, loads, stores) = before.delta(&after);
-    tr.delta(pass, instrs, loads, stores);
-    tr.set_stats((after.instrs, after.loads, after.stores));
-    n
+    tr.record_delta(
+        pass,
+        func,
+        |f| f.body_stats().into(),
+        |f, _| body(f),
+        |&n| n == 0,
+    )
 }

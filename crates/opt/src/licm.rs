@@ -9,6 +9,7 @@
 
 use cfg::{FunctionAnalyses, LoopForest};
 use ir::{BinOp, DenseMap, Function, Instr, Module, Reg, TagSet};
+use trace::FuncTrace;
 
 /// The payload of a cloneable constant definition — enough to mint a fresh
 /// copy in the landing pad without keeping a cloned [`Instr`] around.
@@ -33,7 +34,7 @@ impl ConstVal {
     }
 }
 
-/// Reusable hoisting state for [`licm_function_in`]: dense per-register
+/// Reusable hoisting state for [`licm_function`]: dense per-register
 /// side tables (definition counts, per-loop in-loop counts, cloneable
 /// constants, per-loop pad clones) plus the block list, hoist mask, and
 /// pending-hoist buffer that let each block be rebuilt in one compaction
@@ -99,13 +100,19 @@ fn loop_mods(func: &Function, forest: &LoopForest, li: usize) -> TagSet {
 
 /// Runs LICM over one (normalized) function. Returns instructions moved.
 ///
-/// Convenience wrapper over [`licm_function_in`] with a throwaway scratch.
-pub fn licm_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    licm_function_in(func, analyses, &mut LicmScratch::default())
+/// This is the pipeline entry point: `analyses` is the function's shared
+/// cache, `scratch` the worker's arena for this pass, and a `licm` delta
+/// is recorded in `tr` when tracing is on.
+pub fn licm_function(
+    func: &mut Function,
+    analyses: &mut FunctionAnalyses,
+    scratch: &mut LicmScratch,
+    tr: &mut FuncTrace,
+) -> usize {
+    crate::recorded("licm", func, tr, |f| licm_function_in(f, analyses, scratch))
 }
 
-/// [`licm_function`] against caller-owned scratch tables: the
-/// zero-allocation path the fused pipeline chain uses.
+/// The body of [`licm_function`].
 ///
 /// Semantics are identical to hoisting one instruction at a time; the
 /// difference is mechanical. Hoist decisions mark instructions (the slot
@@ -115,7 +122,7 @@ pub fn licm_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> us
 /// and its pending hoists spliced into the landing pad in one shift —
 /// instead of one `Vec::remove` plus one `insert_before_terminator` per
 /// hoist.
-pub fn licm_function_in(
+fn licm_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
     scratch: &mut LicmScratch,
@@ -201,7 +208,7 @@ pub fn licm_function_in(
                 hoist_mask.clear();
                 hoist_mask.resize(len, false);
                 debug_assert!(to_pad.is_empty());
-                for i in 0..len {
+                for (i, hoisted) in hoist_mask.iter_mut().enumerate() {
                     let hoist = {
                         let instr = &func.blocks[b.index()].instrs[i];
                         let hoistable = match instr {
@@ -238,8 +245,7 @@ pub fn licm_function_in(
                     // retarget the hoisted instruction to the clones. The
                     // clones enter the pending buffer *before* their
                     // consumer, preserving the one-at-a-time pad order.
-                    for k in 0..const_operands.len() {
-                        let r = const_operands[k];
+                    for &r in const_operands.iter() {
                         let clone_reg = match pad_clones.get(r.0) {
                             Some(c) => Reg(c),
                             None => {
@@ -281,7 +287,7 @@ pub fn licm_function_in(
                         defs_in_loop[li].insert(d.0, c - 1);
                     }
                     to_pad.push(instr);
-                    hoist_mask[i] = true;
+                    *hoisted = true;
                     moved += 1;
                     hoisted_any = true;
                 }
@@ -291,8 +297,8 @@ pub fn licm_function_in(
                     // terminator in one shift.
                     let instrs = &mut func.blocks[b.index()].instrs;
                     let mut w = 0;
-                    for r in 0..len {
-                        if !hoist_mask[r] {
+                    for (r, &hoisted) in hoist_mask.iter().enumerate() {
+                        if !hoisted {
                             instrs.swap(w, r);
                             w += 1;
                         }
@@ -446,15 +452,4 @@ int main() {
         // a*a*a leaves both loops: ~2 ops × 2500 iterations saved.
         assert!(after.counts.total + 4000 < before.counts.total);
     }
-}
-
-/// [`licm_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn licm_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut LicmScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("licm", func, tr, |f| licm_function_in(f, analyses, scratch))
 }

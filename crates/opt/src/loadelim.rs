@@ -11,12 +11,13 @@
 use cfg::{BlockWorklist, DataflowStats, Direction, FunctionAnalyses};
 use ir::{Function, Instr, Module, Reg, TagId, TagSet};
 use std::collections::HashMap;
+use trace::FuncTrace;
 
 /// The per-point fact: tag -> register holding its value. `None` is ⊤
 /// (unvisited).
 type Avail = Option<HashMap<TagId, Reg>>;
 
-/// Reusable solver state for [`loadelim_function_in`]: the per-block input
+/// Reusable solver state for [`loadelim_function`]: the per-block input
 /// facts, a free pool of cleared fact maps the inputs are recycled
 /// through, the walking fact map, and the worklist. Every map keeps its
 /// hash-table capacity while parked in the pool, so the steady state
@@ -117,15 +118,22 @@ fn transfer(instr: &mut Instr, facts: &mut HashMap<TagId, Reg>, rewrite: bool) -
 /// Runs redundant-load elimination on one function. Returns loads
 /// rewritten to copies.
 ///
-/// Convenience wrapper over [`loadelim_function_in`] with a throwaway
-/// scratch.
-pub fn loadelim_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    loadelim_function_in(func, analyses, &mut LoadelimScratch::default())
+/// This is the pipeline entry point: `analyses` is the function's shared
+/// cache, `scratch` the worker's arena for this pass, and a `loadelim` delta
+/// is recorded in `tr` when tracing is on.
+pub fn loadelim_function(
+    func: &mut Function,
+    analyses: &mut FunctionAnalyses,
+    scratch: &mut LoadelimScratch,
+    tr: &mut FuncTrace,
+) -> usize {
+    crate::recorded("loadelim", func, tr, |f| {
+        loadelim_function_in(f, analyses, scratch)
+    })
 }
 
-/// [`loadelim_function`] against caller-owned scratch state: the
-/// zero-allocation path the fused pipeline chain uses.
-pub fn loadelim_function_in(
+/// The body of [`loadelim_function`].
+fn loadelim_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
     scratch: &mut LoadelimScratch,
@@ -327,17 +335,4 @@ int main() {
         );
         assert_eq!(after.output, vec!["12"]);
     }
-}
-
-/// [`loadelim_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn loadelim_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut LoadelimScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("loadelim", func, tr, |f| {
-        loadelim_function_in(f, analyses, scratch)
-    })
 }

@@ -9,6 +9,7 @@
 use cfg::FunctionAnalyses;
 use ir::{BinOp, CmpOp, DenseMap, Function, Instr, Module, Reg, TagId, TagSet, UnaryOp};
 use std::collections::HashMap;
+use trace::FuncTrace;
 
 type Vn = u32;
 
@@ -146,14 +147,20 @@ fn fold_cmp(op: CmpOp, a: i64, b: i64) -> i64 {
 /// Runs local value numbering over one function. Returns the number of
 /// instructions rewritten.
 ///
-/// Convenience wrapper over [`lvn_function_in`] with a throwaway scratch.
-pub fn lvn_function(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    lvn_function_in(func, analyses, &mut LvnScratch::default())
+/// This is the pipeline entry point: `analyses` is the function's shared
+/// cache, `scratch` the worker's arena for this pass, and a `lvn` delta
+/// is recorded in `tr` when tracing is on.
+pub fn lvn_function(
+    func: &mut Function,
+    analyses: &mut FunctionAnalyses,
+    scratch: &mut LvnScratch,
+    tr: &mut FuncTrace,
+) -> usize {
+    crate::recorded("lvn", func, tr, |f| lvn_function_in(f, analyses, scratch))
 }
 
-/// [`lvn_function`] against caller-owned scratch tables: the zero-allocation
-/// path the fused pipeline chain uses.
-pub fn lvn_function_in(
+/// The body of [`lvn_function`].
+fn lvn_function_in(
     func: &mut Function,
     analyses: &mut FunctionAnalyses,
     scratch: &mut LvnScratch,
@@ -627,15 +634,4 @@ int main() {
         assert_eq!(after.output, before.output);
         assert!(after.counts.total <= before.counts.total);
     }
-}
-
-/// [`lvn_function_in`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn lvn_function_traced(
-    func: &mut Function,
-    analyses: &mut FunctionAnalyses,
-    scratch: &mut LvnScratch,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("lvn", func, tr, |f| lvn_function_in(f, analyses, scratch))
 }

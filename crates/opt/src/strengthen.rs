@@ -12,6 +12,7 @@
 use analysis::{singleton_is_unique_cell, tarjan_sccs, CallGraph};
 use cfg::FunctionAnalyses;
 use ir::{FuncId, Function, Instr, Module, TagTable};
+use trace::FuncTrace;
 
 /// Strengthens qualifying pointer ops to scalar ops module-wide. Returns
 /// the number of instructions rewritten.
@@ -22,7 +23,7 @@ pub fn strengthen(module: &mut Module) -> usize {
     for fi in 0..module.funcs.len() {
         let f = FuncId(fi as u32);
         let recursive = graph.is_recursive(f, &sccs);
-        rewrites += strengthen_function(
+        rewrites += rewrite_function(
             &module.tags,
             &mut module.funcs[fi],
             f,
@@ -33,9 +34,25 @@ pub fn strengthen(module: &mut Module) -> usize {
     rewrites
 }
 
-/// Per-function strengthening: reads only the tag table, so the parallel
-/// pipeline can fan it out once the driver has computed the recursive-set.
+/// The pipeline entry point: strengthens one function, recording a
+/// `strengthen` delta when `tr` is enabled. Reads only the tag table, so
+/// the parallel pipeline can fan it out once the driver has computed the
+/// recursive-set.
 pub fn strengthen_function(
+    tags_table: &TagTable,
+    func: &mut Function,
+    func_id: FuncId,
+    func_is_recursive: bool,
+    analyses: &mut FunctionAnalyses,
+    tr: &mut FuncTrace,
+) -> usize {
+    crate::recorded("strengthen", func, tr, |f| {
+        rewrite_function(tags_table, f, func_id, func_is_recursive, analyses)
+    })
+}
+
+/// The body of [`strengthen_function`].
+fn rewrite_function(
     tags_table: &TagTable,
     func: &mut Function,
     func_id: FuncId,
@@ -147,19 +164,4 @@ int main() { return walk(3); }
         assert_eq!(n, 0, "walk is recursive; slot has many live cells");
         assert_eq!(before.exit_code, after.exit_code);
     }
-}
-
-/// [`strengthen_function`] with per-pass delta recording (see
-/// [`crate::with_delta`]).
-pub fn strengthen_function_traced(
-    tags_table: &TagTable,
-    func: &mut Function,
-    func_id: FuncId,
-    func_is_recursive: bool,
-    analyses: &mut FunctionAnalyses,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    crate::with_delta("strengthen", func, tr, |f| {
-        strengthen_function(tags_table, f, func_id, func_is_recursive, analyses)
-    })
 }

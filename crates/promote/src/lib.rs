@@ -14,6 +14,11 @@
 //!   pointer references (e.g. `B[i]` inside a `j` loop) when all accesses
 //!   to the referenced tags go through one invariant base register.
 //!
+//! [`promote_module`] runs both over a whole module (tests, examples).
+//! The driver's fused chain calls the per-function pipeline entry points,
+//! [`promote_scalars_in_func`] and [`promote_pointers_in_func`], which take
+//! the function's shared analysis cache and its [`trace::FuncTrace`].
+//!
 //! ```
 //! use promote::{promote_module, PromotionOptions};
 //!
@@ -38,46 +43,13 @@ mod pointer;
 mod scalar;
 
 pub use equations::{block_sets, classify_singleton, BlockSets, LoopSets, RefClass};
-pub use pointer::{
-    promote_pointers_in_func, promote_pointers_in_func_core, promote_pointers_in_func_traced,
-    PointerReport,
-};
-pub use scalar::{
-    promotable_tags, promote_scalars_in_func, promote_scalars_in_func_core,
-    promote_scalars_in_func_traced, ScalarReport,
-};
+pub use pointer::{promote_pointers_in_func, PointerReport};
+pub use scalar::{promotable_tags, promote_scalars_in_func, ScalarReport};
 
 use analysis::{tarjan_sccs, CallGraph};
+use cfg::FunctionAnalyses;
 use ir::Module;
-
-/// Runs a rewriting stage and, when tracing is enabled, records its
-/// before-minus-after [`trace::PassEvent::Delta`] under `pass` (lift and
-/// store-back insertion shows up as negative counts). Chains body scans
-/// through the [`trace::FuncTrace`] stats cache like `opt::with_delta`.
-fn with_delta<R>(
-    pass: &'static str,
-    func: &mut ir::Function,
-    tr: &mut trace::FuncTrace,
-    stage: impl FnOnce(&mut ir::Function, &mut trace::FuncTrace) -> R,
-) -> R {
-    if !tr.enabled() {
-        return stage(func, tr);
-    }
-    let before = match tr.cached_stats() {
-        Some((instrs, loads, stores)) => ir::BodyStats {
-            instrs,
-            loads,
-            stores,
-        },
-        None => func.body_stats(),
-    };
-    let result = stage(func, tr);
-    let after = func.body_stats();
-    let (instrs, loads, stores) = before.delta(&after);
-    tr.delta(pass, instrs, loads, stores);
-    tr.set_stats((after.instrs, after.loads, after.stores));
-    result
-}
+use trace::FuncTrace;
 
 /// Configuration for [`promote_module`].
 #[derive(Debug, Clone)]
@@ -122,48 +94,24 @@ pub struct PromotionReport {
 pub fn promote_module(module: &mut Module, opts: &PromotionOptions) -> PromotionReport {
     let graph = CallGraph::build(module, None);
     let sccs = tarjan_sccs(&graph);
-    let recursive: Vec<bool> = (0..module.funcs.len())
-        .map(|fi| graph.is_recursive(ir::FuncId(fi as u32), &sccs))
-        .collect();
-    promote_module_with_flags(module, opts, &recursive)
-}
-
-/// [`promote_module`] with precomputed per-function recursion flags.
-///
-/// The pipeline's analysis barrier already builds the call graph and its
-/// SCCs; this entry point lets it pass those results down instead of
-/// recomputing them, while standalone callers go through
-/// [`promote_module`] and share the same code path.
-pub fn promote_module_with_flags(
-    module: &mut Module,
-    opts: &PromotionOptions,
-    recursive: &[bool],
-) -> PromotionReport {
-    assert_eq!(
-        recursive.len(),
-        module.funcs.len(),
-        "one recursion flag per function"
-    );
-    for fi in 0..module.funcs.len() {
-        cfg::normalize_loops(&mut module.funcs[fi]);
-    }
     let mut report = PromotionReport::default();
-    for fi in 0..module.funcs.len() {
+    for (fi, func) in module.funcs.iter_mut().enumerate() {
         let f = ir::FuncId(fi as u32);
+        let recursive = graph.is_recursive(f, &sccs);
+        let mut analyses = FunctionAnalyses::new();
+        let tr = &mut FuncTrace::off();
+        cfg::normalize_loops_in(func, &mut analyses);
         if opts.scalar {
-            let r = scalar::promote_scalars_in_func(
-                module,
-                f,
-                recursive[fi],
-                opts.max_promoted_per_loop,
-            );
+            let cap = opts.max_promoted_per_loop;
+            let r =
+                promote_scalars_in_func(&module.tags, func, f, recursive, cap, &mut analyses, tr);
             report.scalar.loops += r.loops;
             report.scalar.promoted_tags += r.promoted_tags;
             report.scalar.lifts += r.lifts;
             report.scalar.rewritten_refs += r.rewritten_refs;
         }
         if opts.pointer_based {
-            let r = pointer::promote_pointers_in_func(module, f);
+            let r = promote_pointers_in_func(func, &mut analyses, tr);
             report.pointer.promoted_bases += r.promoted_bases;
             report.pointer.rewritten_refs += r.rewritten_refs;
             report.pointer.lifts += r.lifts;

@@ -24,7 +24,9 @@ pub struct ScalarReport {
     pub rewritten_refs: usize,
 }
 
-/// Runs scalar promotion on one (already loop-normalized) function.
+/// The pipeline entry point: runs scalar promotion on one (already
+/// loop-normalized) function. Needs only the read-only tag table and the
+/// function body, so independent functions can be promoted concurrently.
 ///
 /// `func_is_recursive` must say whether the function lies on a call-graph
 /// cycle; it gates the classification of singleton pointer references to
@@ -37,53 +39,14 @@ pub struct ScalarReport {
 /// the promotion process"). When set, each loop keeps only its
 /// `max_per_loop` most-referenced promotable tags; the rest stay in
 /// memory rather than risk being spilled back by the allocator.
+///
+/// When `tr` is enabled, every loop's verdict is reported — a
+/// [`Remark::Promoted`] per (tag, loop) that equation (3) admits (with the
+/// lift placement from equation (4)), and a [`Remark::Blocked`] with a
+/// concrete [`BlockReason`] per explicitly-referenced tag that
+/// `L_AMBIGUOUS` claims — plus a `promote` delta covering the rewrite
+/// (lift insertion shows as negative counts).
 pub fn promote_scalars_in_func(
-    module: &mut Module,
-    func_id: FuncId,
-    func_is_recursive: bool,
-    max_per_loop: Option<usize>,
-) -> ScalarReport {
-    promote_scalars_in_func_core(
-        &module.tags,
-        &mut module.funcs[func_id.index()],
-        func_id,
-        func_is_recursive,
-        max_per_loop,
-        &mut FunctionAnalyses::new(),
-    )
-}
-
-/// The per-function core of scalar promotion: needs only the (read-only)
-/// tag table and the function body, so independent functions can be
-/// promoted concurrently.
-pub fn promote_scalars_in_func_core(
-    tags: &TagTable,
-    func: &mut Function,
-    func_id: FuncId,
-    func_is_recursive: bool,
-    max_per_loop: Option<usize>,
-    analyses: &mut FunctionAnalyses,
-) -> ScalarReport {
-    promote_scalars_in_func_traced(
-        tags,
-        func,
-        func_id,
-        func_is_recursive,
-        max_per_loop,
-        analyses,
-        &mut FuncTrace::off(),
-    )
-}
-
-/// [`promote_scalars_in_func_core`] with remark emission: when tracing is
-/// enabled, every loop's verdict is reported — a [`Remark::Promoted`] per
-/// (tag, loop) that equation (3) admits (with the lift placement from
-/// equation (4)), and a [`Remark::Blocked`] with a concrete
-/// [`BlockReason`] per explicitly-referenced tag that `L_AMBIGUOUS`
-/// claims — plus a `promote` delta covering the rewrite (lift insertion
-/// shows as negative counts).
-#[allow(clippy::too_many_arguments)]
-pub fn promote_scalars_in_func_traced(
     tags: &TagTable,
     func: &mut Function,
     func_id: FuncId,
@@ -92,20 +55,25 @@ pub fn promote_scalars_in_func_traced(
     analyses: &mut FunctionAnalyses,
     tr: &mut FuncTrace,
 ) -> ScalarReport {
-    crate::with_delta("promote", func, tr, |func, tr| {
-        promote_scalars_in_func_inner(
-            tags,
-            func,
-            func_id,
-            func_is_recursive,
-            max_per_loop,
-            analyses,
-            tr,
-        )
-    })
+    tr.record_delta(
+        "promote",
+        func,
+        |f| f.body_stats().into(),
+        |func, tr| {
+            promote_scalars_in_func_inner(
+                tags,
+                func,
+                func_id,
+                func_is_recursive,
+                max_per_loop,
+                analyses,
+                tr,
+            )
+        },
+        |_| false,
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn promote_scalars_in_func_inner(
     tags: &TagTable,
     func: &mut Function,
@@ -247,7 +215,7 @@ fn promote_scalars_in_func_inner(
     };
     let mut exit_inserts: BTreeMap<usize, Vec<Instr>> = BTreeMap::new();
     let mut pad_inserts: BTreeMap<usize, Vec<Instr>> = BTreeMap::new();
-    for li in 0..forest.len() {
+    for (li, stored) in stored_in_loop.iter().enumerate() {
         let l = cfg::LoopId(li as u32);
         for t in sets.lift[li].iter() {
             let v = tag_reg[&t];
@@ -256,7 +224,7 @@ fn promote_scalars_in_func_inner(
                 .or_default()
                 .push(Instr::SLoad { dst: v, tag: t });
             report.lifts += 1;
-            if stored_in_loop[li].contains(&t) {
+            if stored.contains(&t) {
                 for &e in geom.exits(l) {
                     exit_inserts
                         .entry(e.index())
@@ -355,10 +323,8 @@ fn blocked_reason(
     for &b in &l.blocks {
         for instr in &func.blocks[b.index()].instrs {
             match instr {
-                Instr::Call { mods, refs, .. } => {
-                    if mods.contains(t) || refs.contains(t) {
-                        return BlockReason::CallModRef;
-                    }
+                Instr::Call { mods, refs, .. } if mods.contains(t) || refs.contains(t) => {
+                    return BlockReason::CallModRef;
                 }
                 Instr::Load { tags: ts, .. } | Instr::Store { tags: ts, .. } => {
                     if !ts.contains(t) {
@@ -466,19 +432,7 @@ mod tests {
     }
 
     fn promote_all(m: &mut Module) -> ScalarReport {
-        let graph = analysis::CallGraph::build(m, None);
-        let sccs = analysis::tarjan_sccs(&graph);
-        let mut total = ScalarReport::default();
-        for fi in 0..m.funcs.len() {
-            let f = FuncId(fi as u32);
-            let rec = graph.is_recursive(f, &sccs);
-            let r = promote_scalars_in_func(m, f, rec, None);
-            total.loops += r.loops;
-            total.promoted_tags += r.promoted_tags;
-            total.lifts += r.lifts;
-            total.rewritten_refs += r.rewritten_refs;
-        }
-        total
+        crate::promote_module(m, &crate::PromotionOptions::default()).scalar
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   traffic shows up in the measured load/store counts exactly as it does
 //!   in the paper's figures.
 //!
-//! Allocation is split into a per-function core ([`allocate_function_core`])
+//! Allocation is split into a per-function core ([`allocate_function`])
 //! that touches only the function body plus a read-only tag-table snapshot,
 //! and a sequential commit ([`commit_spills`]) that interns the spill tags
 //! the core requested. The core hands out *provisional* tag ids (at or
@@ -29,7 +29,7 @@ use cfg::{for_each_instr_backwards_in, Cfg, FunctionAnalyses, Liveness, RegSet};
 use ir::{BlockId, FuncId, Function, Instr, Module, Reg, RewriteBuf, TagId, TagKind, TagTable};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// Reusable allocator state for [`allocate_function_core_traced`]: the
+/// Reusable allocator state for [`allocate_function`]: the
 /// interference graph and coalescer's class adjacency (the two big
 /// [`BitMatrix`] builds), every per-round simplify/select vector, and the
 /// [`RewriteBuf`] the spill inserter rebuilds blocks through. One of these
@@ -125,7 +125,7 @@ pub struct AllocReport {
 /// [`commit_spills`] must replace.
 pub const PROVISIONAL_SPILL_BASE: u32 = 0x8000_0000;
 
-/// A spill tag requested by [`allocate_function_core`] but not yet
+/// A spill tag requested by [`allocate_function`] but not yet
 /// interned in the module's tag table.
 #[derive(Debug, Clone)]
 pub struct PendingSpill {
@@ -245,7 +245,7 @@ fn spill_costs(func: &Function, analyses: &mut FunctionAnalyses, cost: &mut Vec<
 /// that follows). Returns copies eliminated; the blocks whose instructions
 /// actually changed are appended to `dirty` so the caller can scope the
 /// liveness invalidation.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // disjoint scratch buffers borrowed out of one `AllocScratch`
 fn coalesce_once(
     func: &mut Function,
     k: usize,
@@ -283,8 +283,7 @@ fn coalesce_once(
     // Track adjacency unions as we merge (approximation: recompute the
     // union of original neighbor sets of the merged classes).
     class_adj.copy_from(g);
-    for ci in 0..copies.len() {
-        let (dst, src) = copies[ci];
+    for &(dst, src) in copies.iter() {
         let a = find(parent, dst.0);
         let b = find(parent, src.0);
         if a == b {
@@ -469,7 +468,7 @@ fn try_rematerialize(
 /// Spill tags are *not* interned here: each victim gets a provisional id
 /// recorded in `pending`, so the caller (or the driver's parallel commit)
 /// can intern the real tags in deterministic function order.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // disjoint scratch buffers borrowed out of one `AllocScratch`
 fn insert_spill_code(
     func: &mut Function,
     victims: &BTreeSet<u32>,
@@ -579,42 +578,46 @@ fn insert_spill_code(
     (loads, stores, temps)
 }
 
-/// Allocates one function onto `opts.num_regs` registers, using only a
-/// read-only snapshot of the tag table. Spill tags the function needs are
-/// returned through `pending` as provisional ids; the caller must intern
-/// them with [`commit_spills`] before the module is printed, validated, or
-/// run.
+/// The pipeline entry point: allocates one function onto `opts.num_regs`
+/// registers, using only a read-only snapshot of the tag table. Spill
+/// tags the function needs are returned through `pending` as provisional
+/// ids; the caller must intern them with [`commit_spills`] before the
+/// module is printed, validated, or run. When `tr` is enabled, each spill
+/// victim is reported as a [`trace::Remark::Spilled`] with the
+/// simplify/select round that demanded it, and the net spill-code
+/// insertion lands as a `regalloc` delta.
 ///
 /// # Panics
 ///
 /// Panics if the function's arity exceeds the register count or if
 /// allocation fails to converge within `opts.max_rounds`.
-pub fn allocate_function_core(
+// One parameter per independent input of a per-function pass run under
+// the fused chain (tag snapshot, body, id, options, spill out-list,
+// analysis cache, worker scratch, trace); bundling them would only move
+// the same list into a struct built at each of its two call sites.
+#[allow(clippy::too_many_arguments)]
+pub fn allocate_function(
     tags: &TagTable,
     func: &mut Function,
     func_id: FuncId,
     opts: &AllocOptions,
     pending: &mut Vec<PendingSpill>,
     analyses: &mut FunctionAnalyses,
+    scratch: &mut AllocScratch,
+    tr: &mut trace::FuncTrace,
 ) -> AllocReport {
-    allocate_function_core_traced(
-        tags,
+    tr.record_delta(
+        "regalloc",
         func,
-        func_id,
-        opts,
-        pending,
-        analyses,
-        &mut AllocScratch::default(),
-        &mut trace::FuncTrace::off(),
+        |f| f.body_stats().into(),
+        |func, tr| allocate_in(tags, func, func_id, opts, pending, analyses, scratch, tr),
+        |_| false,
     )
 }
 
-/// [`allocate_function_core`] with remark emission: when tracing is
-/// enabled, each spill victim is reported as a
-/// [`trace::Remark::Spilled`] with the simplify/select round that demanded
-/// it, and the net spill-code insertion lands as a `regalloc` delta.
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_function_core_traced(
+/// The body of [`allocate_function`].
+#[allow(clippy::too_many_arguments)] // the entry point's parameters, passed through
+fn allocate_in(
     tags: &TagTable,
     func: &mut Function,
     func_id: FuncId,
@@ -648,20 +651,6 @@ pub fn allocate_function_core_traced(
     // Versions are per-`FunctionAnalyses`; a cached graph from a previous
     // function must never be mistaken for this one's.
     *graph_version = None;
-    // Seed the before-count from the stats cache when the preceding
-    // delta stage left one (the fused chain always does), else scan.
-    let stats_before = if tr.enabled() {
-        Some(match tr.cached_stats() {
-            Some((instrs, loads, stores)) => ir::BodyStats {
-                instrs,
-                loads,
-                stores,
-            },
-            None => func.body_stats(),
-        })
-    } else {
-        None
-    };
     let mut report = AllocReport::default();
     let k = opts.num_regs;
     assert!(
@@ -871,15 +860,8 @@ pub fn allocate_function_core_traced(
             func.next_reg = k as u32;
             // The physical-register rewrite is the last body change.
             analyses.note_body_changed();
-            if let Some(before) = stats_before {
-                let after = func.body_stats();
-                let (i, l, s) = before.delta(&after);
-                tr.delta("regalloc", i, l, s);
-                tr.set_stats((after.instrs, after.loads, after.stores));
-            }
             return report;
         }
-        let mut spilled = spilled;
         let mut temps = BTreeSet::new();
         let mut dirty: BTreeSet<u32> = BTreeSet::new();
         report.rematerialized += try_rematerialize(func, &mut spilled, &mut temps, &mut dirty);
@@ -937,33 +919,13 @@ pub fn commit_spills(module: &mut Module, func_id: FuncId, pending: Vec<PendingS
     }
 }
 
-/// Allocates one function onto `opts.num_regs` registers.
-///
-/// # Panics
-///
-/// Panics if the function's arity exceeds the register count or if
-/// allocation fails to converge within `opts.max_rounds`.
-pub fn allocate_function(module: &mut Module, func_id: FuncId, opts: &AllocOptions) -> AllocReport {
-    let mut pending = Vec::new();
-    let report = allocate_function_core(
-        &module.tags,
-        &mut module.funcs[func_id.index()],
-        func_id,
-        opts,
-        &mut pending,
-        &mut FunctionAnalyses::new(),
-    );
-    commit_spills(module, func_id, pending);
-    report
-}
-
 /// Allocates every function in the module.
 pub fn allocate(module: &mut Module, opts: &AllocOptions) -> AllocReport {
     let mut total = AllocReport::default();
     let mut scratch = AllocScratch::default();
     for fi in 0..module.funcs.len() {
         let mut pending = Vec::new();
-        let r = allocate_function_core_traced(
+        let r = allocate_function(
             &module.tags,
             &mut module.funcs[fi],
             FuncId(fi as u32),

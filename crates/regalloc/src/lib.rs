@@ -7,6 +7,11 @@
 //! tags, so spill traffic is measured by the VM like any other memory
 //! traffic.
 //!
+//! [`allocate`] allocates a whole module. The driver's fused chain calls
+//! [`allocate_function`] per function against a read-only tag-table
+//! snapshot and interns the spill tags it requests with
+//! [`commit_spills`], in function-index order.
+//!
 //! ```
 //! use regalloc::{allocate, AllocOptions};
 //!
@@ -29,9 +34,8 @@ mod alloc;
 mod matrix;
 
 pub use alloc::{
-    allocate, allocate_function, allocate_function_core, allocate_function_core_traced,
-    commit_spills, interference_graph, interference_graph_in, AllocOptions, AllocReport,
-    AllocScratch, PendingSpill, PROVISIONAL_SPILL_BASE,
+    allocate, allocate_function, commit_spills, interference_graph, interference_graph_in,
+    AllocOptions, AllocReport, AllocScratch, PendingSpill, PROVISIONAL_SPILL_BASE,
 };
 pub use cfg::{for_each_instr_backwards, liveness, Cfg, Liveness, RegSet};
 pub use matrix::BitMatrix;

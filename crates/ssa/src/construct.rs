@@ -10,6 +10,7 @@
 use cfg::{Cfg, DomTree, FunctionAnalyses};
 use ir::{BlockId, Function, Instr, Reg};
 use std::collections::{BTreeMap, BTreeSet};
+use trace::FuncTrace;
 
 /// Records how construction renamed things, for consumers that need to
 /// map SSA names back to the original registers.
@@ -27,20 +28,31 @@ impl SsaMap {
     }
 }
 
-/// Converts `func` to pruned SSA form in place.
+/// Converts `func` to pruned SSA form in place. The CFG, dominator tree,
+/// and liveness are taken from (and on a warm cache, reused out of)
+/// `analyses`; the φ-insertion and renaming are reported as a body-tier
+/// change. When `tr` is enabled an `ssa-construct` delta is recorded (φ
+/// insertion shows up as negative `instrs_removed`).
 ///
 /// # Panics
 ///
 /// Panics if the function already contains φ-nodes.
-pub fn construct(func: &mut Function) -> SsaMap {
-    construct_in(func, &mut FunctionAnalyses::new())
+pub fn construct(
+    func: &mut Function,
+    analyses: &mut FunctionAnalyses,
+    tr: &mut FuncTrace,
+) -> SsaMap {
+    tr.record_delta(
+        "ssa-construct",
+        func,
+        |f| f.body_stats().into(),
+        |f, _| construct_in(f, analyses),
+        |_| false,
+    )
 }
 
-/// [`construct`] against a shared analysis cache: the CFG, dominator tree,
-/// and liveness are taken from (and on a warm cache, reused out of)
-/// `analyses`; the φ-insertion and renaming are reported as a body-tier
-/// change.
-pub fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> SsaMap {
+/// The body of [`construct`].
+fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> SsaMap {
     assert!(
         !func
             .blocks
@@ -54,8 +66,8 @@ pub fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> Ssa
 
     // Definition sites per register (entry counts for parameters).
     let mut def_blocks: Vec<BTreeSet<BlockId>> = vec![BTreeSet::new(); nregs];
-    for p in 0..func.arity {
-        def_blocks[p].insert(func.entry);
+    for defs in &mut def_blocks[..func.arity] {
+        defs.insert(func.entry);
     }
     for bid in func.block_ids() {
         for instr in &func.block(bid).instrs {
@@ -68,12 +80,12 @@ pub fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> Ssa
     // φ placement at iterated dominance frontiers, pruned by liveness.
     // phis[b] = set of original registers needing a φ at b.
     let mut phis: Vec<BTreeSet<Reg>> = vec![BTreeSet::new(); func.blocks.len()];
-    for r in 0..nregs {
-        if def_blocks[r].len() < 1 {
+    for (r, defs) in def_blocks.iter().enumerate() {
+        if defs.is_empty() {
             continue;
         }
         let reg = Reg(r as u32);
-        let mut work: Vec<BlockId> = def_blocks[r].iter().copied().collect();
+        let mut work: Vec<BlockId> = defs.iter().copied().collect();
         let mut placed: BTreeSet<BlockId> = BTreeSet::new();
         while let Some(b) = work.pop() {
             for &f in &df[b.index()] {
@@ -86,7 +98,7 @@ pub fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> Ssa
                 }
                 placed.insert(f);
                 phis[f.index()].insert(reg);
-                if !def_blocks[r].contains(&f) {
+                if !defs.contains(&f) {
                     work.push(f);
                 }
             }
@@ -111,8 +123,8 @@ pub fn construct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> Ssa
     let origin: Vec<Reg> = (0..func.next_reg).map(Reg).collect();
     let mut stacks: Vec<Vec<Reg>> = vec![Vec::new(); nregs];
     // Parameters enter with their own names.
-    for p in 0..func.arity {
-        stacks[p].push(Reg(p as u32));
+    for (p, stack) in stacks[..func.arity].iter_mut().enumerate() {
+        stack.push(Reg(p as u32));
     }
     // A shared "undefined" name per original register, created on demand.
     let undef: BTreeMap<Reg, Reg> = BTreeMap::new();
@@ -264,7 +276,7 @@ mod tests {
     #[test]
     fn loop_variable_gets_a_phi() {
         let mut f = loop_function();
-        construct(&mut f);
+        construct(&mut f, &mut FunctionAnalyses::new(), &mut FuncTrace::off());
         verify_ssa(&f).expect("valid SSA");
         let phis: usize = f
             .blocks
@@ -294,7 +306,7 @@ mod tests {
             },
             vm::VmOptions::default(),
         );
-        construct(&mut f);
+        construct(&mut f, &mut FunctionAnalyses::new(), &mut FuncTrace::off());
         let mut m = ir::Module::new();
         f.name = "main".into();
         m.add_func(f);
@@ -306,7 +318,7 @@ mod tests {
     #[test]
     fn origins_track_versions() {
         let mut f = loop_function();
-        let map = construct(&mut f);
+        let map = construct(&mut f, &mut FunctionAnalyses::new(), &mut FuncTrace::off());
         // Every register's origin is within the original register space.
         for r in 0..f.next_reg {
             let o = map.origin_of(Reg(r));
@@ -338,7 +350,7 @@ mod tests {
         b.ret(Some(x));
         let mut f = b.finish();
         f.has_result = true;
-        construct(&mut f);
+        construct(&mut f, &mut FunctionAnalyses::new(), &mut FuncTrace::off());
         verify_ssa(&f).expect("valid SSA");
         let phis: usize = f
             .blocks

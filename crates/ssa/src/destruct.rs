@@ -7,16 +7,12 @@
 
 use cfg::FunctionAnalyses;
 use ir::{BlockId, Function, Instr, Reg};
+use trace::FuncTrace;
 
 /// Splits every critical edge (multi-successor source to multi-predecessor
-/// target). Returns the number of edges split.
-pub fn split_critical_edges(func: &mut Function) -> usize {
-    split_critical_edges_in(func, &mut FunctionAnalyses::new())
-}
-
-/// [`split_critical_edges`] against a shared analysis cache. Splitting an
-/// edge is a shape-tier change; splitting nothing leaves the cache warm.
-pub fn split_critical_edges_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
+/// target). Returns the number of edges split. Splitting an edge is a
+/// shape-tier change; splitting nothing leaves the cache warm.
+fn split_critical_edges(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
     let cfg = analyses.cfg(func);
     let mut splits: Vec<(BlockId, BlockId)> = Vec::new();
     for b in func.block_ids() {
@@ -99,17 +95,24 @@ pub fn sequentialize_parallel_copy(
     out
 }
 
-/// Replaces every φ-node with copies on the incoming edges. The function
-/// must have no critical edges carrying φ moves; [`split_critical_edges`]
-/// is called internally first.
-pub fn destruct(func: &mut Function) -> usize {
-    destruct_in(func, &mut FunctionAnalyses::new())
+/// Replaces every φ-node with copies on the incoming edges, splitting
+/// critical edges first. Edge splits report a shape-tier change to
+/// `analyses`, φ removal and copy insertion a body-tier one. When `tr` is
+/// enabled an `ssa-destruct` delta is recorded. Returns the number of
+/// φ-nodes removed.
+pub fn destruct(func: &mut Function, analyses: &mut FunctionAnalyses, tr: &mut FuncTrace) -> usize {
+    tr.record_delta(
+        "ssa-destruct",
+        func,
+        |f| f.body_stats().into(),
+        |f, _| destruct_in(f, analyses),
+        |_| false,
+    )
 }
 
-/// [`destruct`] against a shared analysis cache: edge splits report a
-/// shape-tier change, φ removal and copy insertion a body-tier one.
-pub fn destruct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
-    split_critical_edges_in(func, analyses);
+/// The body of [`destruct`].
+fn destruct_in(func: &mut Function, analyses: &mut FunctionAnalyses) -> usize {
+    split_critical_edges(func, analyses);
     // Collect per-predecessor parallel copies.
     let mut edge_moves: Vec<Vec<(Reg, Reg)>> = vec![Vec::new(); func.blocks.len()];
     let mut removed = 0;

@@ -12,6 +12,10 @@
 //! SSA-name-granularity analysis, and the test suite checks both levels
 //! agree on the benchmark suite.
 //!
+//! [`construct`] and [`destruct`] each take the function's shared
+//! analysis cache and its [`trace::FuncTrace`], in which they record an
+//! `ssa-construct` / `ssa-destruct` delta when tracing is on.
+//!
 //! ```
 //! let module = ir::parse_module(r#"
 //! func @main(0) result {
@@ -29,9 +33,10 @@
 //! }
 //! "#)?;
 //! let mut func = module.func(module.main().unwrap()).clone();
-//! let map = ssa::construct(&mut func);
-//! ssa::verify_ssa(&func)?;                 // r0 now has φ-managed versions
-//! let removed = ssa::destruct(&mut func);  // back to executable copies
+//! let (fa, tr) = (&mut cfg::FunctionAnalyses::new(), &mut trace::FuncTrace::off());
+//! let map = ssa::construct(&mut func, fa, tr);
+//! ssa::verify_ssa(&func)?;                   // r0 now has φ-managed versions
+//! let removed = ssa::destruct(&mut func, fa, tr); // back to executable copies
 //! assert!(removed >= 1);
 //! # let _ = map;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -43,62 +48,6 @@ mod construct;
 mod destruct;
 mod verify;
 
-pub use construct::{construct, construct_in, SsaMap};
-pub use destruct::{
-    destruct, destruct_in, sequentialize_parallel_copy, split_critical_edges,
-    split_critical_edges_in,
-};
+pub use construct::{construct, SsaMap};
+pub use destruct::{destruct, sequentialize_parallel_copy};
 pub use verify::{verify_ssa, SsaError};
-
-/// The before-count for a delta: the [`trace::FuncTrace`] stats cache if
-/// a preceding delta stage left one, else a fresh body scan. `None` when
-/// tracing is off.
-fn cached_or_scan(func: &ir::Function, tr: &trace::FuncTrace) -> Option<ir::BodyStats> {
-    if !tr.enabled() {
-        return None;
-    }
-    Some(match tr.cached_stats() {
-        Some((instrs, loads, stores)) => ir::BodyStats {
-            instrs,
-            loads,
-            stores,
-        },
-        None => func.body_stats(),
-    })
-}
-
-/// [`construct_in`] with a `ssa-construct` delta recorded when tracing is
-/// enabled (φ insertion shows up as negative `instrs_removed`).
-pub fn construct_in_traced(
-    func: &mut ir::Function,
-    analyses: &mut cfg::FunctionAnalyses,
-    tr: &mut trace::FuncTrace,
-) -> SsaMap {
-    let before = cached_or_scan(func, tr);
-    let map = construct_in(func, analyses);
-    if let Some(before) = before {
-        let after = func.body_stats();
-        let (i, l, s) = before.delta(&after);
-        tr.delta("ssa-construct", i, l, s);
-        tr.set_stats((after.instrs, after.loads, after.stores));
-    }
-    map
-}
-
-/// [`destruct_in`] with a `ssa-destruct` delta recorded when tracing is
-/// enabled.
-pub fn destruct_in_traced(
-    func: &mut ir::Function,
-    analyses: &mut cfg::FunctionAnalyses,
-    tr: &mut trace::FuncTrace,
-) -> usize {
-    let before = cached_or_scan(func, tr);
-    let removed = destruct_in(func, analyses);
-    if let Some(before) = before {
-        let after = func.body_stats();
-        let (i, l, s) = before.delta(&after);
-        tr.delta("ssa-destruct", i, l, s);
-        tr.set_stats((after.instrs, after.loads, after.stores));
-    }
-    removed
-}

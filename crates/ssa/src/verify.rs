@@ -38,8 +38,8 @@ pub fn verify_ssa(func: &Function) -> Result<(), SsaError> {
     // that parameters can sit at position 0, strictly before the entry
     // block's first instruction.
     let mut def_at: Vec<Option<(BlockId, usize)>> = vec![None; nregs];
-    for p in 0..func.arity {
-        def_at[p] = Some((func.entry, 0));
+    for def in &mut def_at[..func.arity] {
+        *def = Some((func.entry, 0));
     }
     for b in func.block_ids() {
         if !cfg.is_reachable(b) {

@@ -4,6 +4,8 @@
 //! The randomized cases use an in-tree xorshift64* generator so the test
 //! is deterministic and builds offline.
 
+use cfg::FunctionAnalyses;
+use trace::FuncTrace;
 use vm::{Vm, VmOptions};
 
 fn roundtrip(src: &str) {
@@ -12,7 +14,7 @@ fn roundtrip(src: &str) {
     // SSA on every function, verify, run (the VM executes φ directly).
     let mut in_ssa = module.clone();
     for f in &mut in_ssa.funcs {
-        ssa::construct(f);
+        ssa::construct(f, &mut FunctionAnalyses::new(), &mut FuncTrace::off());
         ssa::verify_ssa(f).unwrap_or_else(|e| panic!("{}: {e}", f.name));
     }
     ir::validate(&in_ssa).expect("valid IL in SSA form");
@@ -24,7 +26,7 @@ fn roundtrip(src: &str) {
     // Destruct, run again.
     let mut back = in_ssa.clone();
     for f in &mut back.funcs {
-        ssa::destruct(f);
+        ssa::destruct(f, &mut FunctionAnalyses::new(), &mut FuncTrace::off());
         assert!(
             !f.blocks
                 .iter()

@@ -20,11 +20,12 @@ pub enum FuncTrace {
         /// The buffered events.
         events: Vec<PassEvent>,
         /// Cached `(instrs, loads, stores)` snapshot of the function as
-        /// of the last delta-recorded pass exit. Consecutive delta
-        /// passes chain through it — pass N's after-scan is pass N+1's
-        /// before-count — halving the body scans tracing costs. Any
-        /// stage that mutates the function without recording a delta
-        /// must call [`FuncTrace::invalidate_stats`].
+        /// of the last [`FuncTrace::record_delta`] exit. Consecutive
+        /// stages chain through it — stage N's after-scan is stage N+1's
+        /// before-count — halving the body scans tracing costs. Every
+        /// stage that mutates the function while tracing is on must run
+        /// under `record_delta`, or the next delta would be computed
+        /// against a stale baseline.
         stats: Option<(usize, usize, usize)>,
     },
 }
@@ -64,7 +65,7 @@ impl FuncTrace {
     /// all-zero delta is dropped: a pass that changed nothing says
     /// nothing.
     #[inline]
-    pub fn delta(
+    fn delta(
         &mut self,
         pass: &'static str,
         instrs_removed: i64,
@@ -83,31 +84,67 @@ impl FuncTrace {
         }
     }
 
+    /// Runs one body-mutating `stage` and, when tracing is enabled,
+    /// records its before-minus-after [`PassEvent::Delta`] under `pass`.
+    /// This is the one place the pipeline's delta bookkeeping lives; every
+    /// delta-recording stage (normalization, the SSA round trip,
+    /// promotion, each optimizer pass, allocation) goes through it.
+    ///
+    /// `stats` reads the body's static `(instrs, loads, stores)` counts;
+    /// it is a closure so this crate stays independent of the IL. When
+    /// tracing is off, `stage` is called directly and `stats` never runs,
+    /// which is what keeps the disabled path free. When it is on,
+    /// consecutive stages share scans through a cached snapshot: one
+    /// stage's after-scan is the next stage's before-count, and a stage
+    /// whose result `unchanged` accepts costs no after-scan at all.
+    ///
+    /// Contract: `unchanged` may return `true` **only** for a result that
+    /// proves the stage left the counts untouched (an optimizer pass that
+    /// reports zero rewrites), or the cached snapshot goes stale.
+    pub fn record_delta<B: ?Sized, R>(
+        &mut self,
+        pass: &'static str,
+        body: &mut B,
+        stats: impl Fn(&B) -> (usize, usize, usize),
+        stage: impl FnOnce(&mut B, &mut FuncTrace) -> R,
+        unchanged: impl FnOnce(&R) -> bool,
+    ) -> R {
+        if !self.enabled() {
+            return stage(body, self);
+        }
+        let before = self.cached_stats().unwrap_or_else(|| stats(body));
+        let result = stage(body, self);
+        let after = if unchanged(&result) {
+            before
+        } else {
+            stats(body)
+        };
+        let removed = |b: usize, a: usize| b as i64 - a as i64;
+        self.delta(
+            pass,
+            removed(before.0, after.0),
+            removed(before.1, after.1),
+            removed(before.2, after.2),
+        );
+        self.set_stats(after);
+        result
+    }
+
     /// The cached `(instrs, loads, stores)` snapshot, if one is current.
     #[inline]
-    pub fn cached_stats(&self) -> Option<(usize, usize, usize)> {
+    fn cached_stats(&self) -> Option<(usize, usize, usize)> {
         match self {
             FuncTrace::Off => None,
             FuncTrace::On { stats, .. } => *stats,
         }
     }
 
-    /// Replaces the cached snapshot with the function's state as just
-    /// scanned by a delta-recording stage.
+    /// Replaces the cached snapshot with the body's state as just scanned
+    /// by [`record_delta`](Self::record_delta).
     #[inline]
-    pub fn set_stats(&mut self, snapshot: (usize, usize, usize)) {
+    fn set_stats(&mut self, snapshot: (usize, usize, usize)) {
         if let FuncTrace::On { stats, .. } = self {
             *stats = Some(snapshot);
-        }
-    }
-
-    /// Drops the cached snapshot. Required after any mutation that did
-    /// not record a delta, or the next delta would be computed against a
-    /// stale baseline.
-    #[inline]
-    pub fn invalidate_stats(&mut self) {
-        if let FuncTrace::On { stats, .. } = self {
-            *stats = None;
         }
     }
 
@@ -332,6 +369,48 @@ mod tests {
         let events = tr.take_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].pass(), "dce");
+    }
+
+    #[test]
+    fn record_delta_chains_scans_and_skips_them_when_off_or_unchanged() {
+        use std::cell::Cell;
+        // The "body" is its own (instrs, loads, stores) counts; `scans`
+        // counts how often the recorder reads them.
+        let scans = Cell::new(0);
+        let stats = |b: &(usize, usize, usize)| {
+            scans.set(scans.get() + 1);
+            *b
+        };
+        let mut body = (10, 3, 2);
+
+        let mut off = FuncTrace::off();
+        off.record_delta("dce", &mut body, stats, |b, _| b.0 -= 1, |_| false);
+        assert_eq!((body, scans.get()), ((9, 3, 2), 0), "off never scans");
+
+        let mut tr = FuncTrace::on();
+        // First stage: before- and after-scan.
+        tr.record_delta("promote", &mut body, stats, |b, _| b.1 += 1, |_| false);
+        assert_eq!(scans.get(), 2);
+        // Next stage reuses the cached after-scan as its before-count, and
+        // an unchanged result skips the after-scan entirely.
+        tr.record_delta("lvn", &mut body, stats, |_, _| 0, |&n| n == 0);
+        assert_eq!(scans.get(), 2);
+        tr.record_delta("dce", &mut body, stats, |b, _| b.2 -= 1, |_| false);
+        assert_eq!(scans.get(), 3);
+        let deltas: Vec<_> = tr
+            .take_events()
+            .into_iter()
+            .map(|e| match e {
+                PassEvent::Delta {
+                    pass,
+                    instrs_removed,
+                    loads_removed,
+                    stores_removed,
+                } => (pass, instrs_removed, loads_removed, stores_removed),
+                PassEvent::Remark { .. } => unreachable!("no remarks recorded"),
+            })
+            .collect();
+        assert_eq!(deltas, [("promote", 0, -1, 0), ("dce", 0, 0, 1)]);
     }
 
     #[test]

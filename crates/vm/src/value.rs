@@ -31,7 +31,7 @@ pub struct Ptr {
 }
 
 /// A dynamically typed VM value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Value {
     /// 64-bit integer.
     Int(i64),
@@ -46,13 +46,8 @@ pub enum Value {
     /// `Uninit` may be copied, loaded, and stored freely — the promoter's
     /// landing-pad loads may legitimately read not-yet-written memory — but
     /// any *computation* on it is a VM error.
+    #[default]
     Uninit,
-}
-
-impl Default for Value {
-    fn default() -> Self {
-        Value::Uninit
-    }
 }
 
 impl Value {

@@ -76,9 +76,11 @@ fn passes() -> Vec<Pass> {
         }),
         ("ssa-roundtrip", |m| {
             for f in &mut m.funcs {
-                ssa::construct(f);
+                let fa = &mut cfg::FunctionAnalyses::new();
+                let tr = &mut trace::FuncTrace::off();
+                ssa::construct(f, fa, tr);
                 ssa::verify_ssa(f).expect("valid SSA");
-                ssa::destruct(f);
+                ssa::destruct(f, fa, tr);
             }
         }),
     ]

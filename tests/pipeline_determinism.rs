@@ -29,10 +29,10 @@ fn parallel_pipeline_matches_sequential_everywhere() {
         let base = minic::compile(b.source).unwrap_or_else(|e| panic!("{}: {e}", b.name));
         for (label, config) in PipelineConfig::figure_variants() {
             let mut m_seq = base.clone();
-            let r_seq = driver::run_pipeline_in(&mut m_seq, &config, &sequential);
+            let r_seq = driver::run_pipeline(&mut m_seq, &config, &sequential, None).0;
             for (workers, pool) in &parallel {
                 let mut m_par = base.clone();
-                let r_par = driver::run_pipeline_in(&mut m_par, &config, pool);
+                let r_par = driver::run_pipeline(&mut m_par, &config, pool, None).0;
                 assert_eq!(
                     m_seq.to_string(),
                     m_par.to_string(),
@@ -69,7 +69,7 @@ fn remark_streams_are_identical_across_worker_counts() {
                 ..Default::default()
             };
             let mut m = base.clone();
-            let (_, log) = driver::run_pipeline_traced(&mut m, &config, &pool);
+            let (_, log) = driver::run_pipeline(&mut m, &config, &pool, None);
             suite_records += log.len();
             let jsonl = log.to_jsonl();
             match &reference {
@@ -94,12 +94,13 @@ fn env_override_is_equivalent_to_explicit() {
     let base = minic::compile(b.source).expect("compile");
     let config = PipelineConfig::default();
     let mut with_auto = base.clone();
-    driver::run_pipeline_in(
+    driver::run_pipeline(
         &mut with_auto,
         &config,
         &WorkerPool::new(driver::resolve_threads(None)),
+        None,
     );
     let mut with_one = base.clone();
-    driver::run_pipeline_in(&mut with_one, &config, &WorkerPool::new(1));
+    driver::run_pipeline(&mut with_one, &config, &WorkerPool::new(1), None);
     assert_eq!(with_auto.to_string(), with_one.to_string());
 }

@@ -255,3 +255,129 @@ fn suite_remark_stream_matches_the_committed_record() {
         );
     }
 }
+
+/// Every function's `Delta` events add up to its net change: summed over
+/// the whole trace, `instrs_removed`/`loads_removed`/`stores_removed`
+/// equal the unoptimized body's static counts minus the final body's.
+/// A stage that mutates a body without recording its delta — or a stale
+/// before-count carried between stages — breaks the sum. Checked on every
+/// suite program under arms that between them run every delta-recording
+/// stage (SSA round trip, pointer promotion, spill-heavy allocation), and
+/// on a warm all-hit incremental compile whose chain events are replayed
+/// from the cache.
+#[test]
+fn deltas_sum_to_each_functions_net_change() {
+    use analysis::AnalysisLevel;
+    use driver::{PipelineConfig, Session};
+    use std::collections::{BTreeSet, HashMap};
+    use trace::PassEvent;
+
+    let traced = |config: PipelineConfig| {
+        Session::from_config(PipelineConfig {
+            threads: Some(1),
+            trace: true,
+            ..config
+        })
+    };
+    let mut arms: Vec<(String, Session)> = PipelineConfig::figure_variants()
+        .into_iter()
+        .map(|(name, config)| (name, traced(config)))
+        .collect();
+    for (name, analysis, pointer_promote) in [
+        ("points-to+pointer", AnalysisLevel::PointsTo, true),
+        ("points-to-ssa+pointer", AnalysisLevel::PointsToSsa, true),
+        ("address-taken", AnalysisLevel::AddressTaken, false),
+        ("steensgaard", AnalysisLevel::Steensgaard, false),
+    ] {
+        let config = PipelineConfig {
+            analysis,
+            pointer_promote,
+            ..PipelineConfig::default()
+        };
+        arms.push((name.to_string(), traced(config)));
+    }
+    let eight = PipelineConfig {
+        regalloc: Some(regalloc::AllocOptions {
+            num_regs: 8,
+            ..Default::default()
+        }),
+        ..PipelineConfig::default()
+    };
+    arms.push(("8-registers".to_string(), traced(eight)));
+    let warm = Session::builder()
+        .threads(Some(1))
+        .trace(true)
+        .incremental(true)
+        .build();
+
+    let mut passes = BTreeSet::new();
+    let mut checked = 0;
+    let mut check = |arm: &str, program: &str, source: &str, c: &driver::Compilation| {
+        let before = minic::compile(source).unwrap_or_else(|e| panic!("{program}: {e}"));
+        let mut sums: HashMap<&str, [i64; 3]> = HashMap::new();
+        for r in &c.trace.records {
+            if let PassEvent::Delta {
+                pass,
+                instrs_removed,
+                loads_removed,
+                stores_removed,
+            } = r.event
+            {
+                passes.insert(pass);
+                let s = sums.entry(r.func.as_str()).or_default();
+                s[0] += instrs_removed;
+                s[1] += loads_removed;
+                s[2] += stores_removed;
+            }
+        }
+        for (f0, f1) in before.funcs.iter().zip(&c.module.funcs) {
+            assert_eq!(f0.name, f1.name, "{arm} {program}: function order");
+            let (b, a) = (f0.body_stats(), f1.body_stats());
+            let net = [
+                b.instrs as i64 - a.instrs as i64,
+                b.loads as i64 - a.loads as i64,
+                b.stores as i64 - a.stores as i64,
+            ];
+            let summed = sums.get(f0.name.as_str()).copied().unwrap_or_default();
+            assert_eq!(
+                summed, net,
+                "{arm} {program}::{}: summed deltas (instrs, loads, stores) \
+                 differ from the net change",
+                f0.name
+            );
+            checked += 1;
+        }
+    };
+    for b in benchsuite::SUITE {
+        for (arm, session) in &arms {
+            let c = session
+                .compile(b.source)
+                .unwrap_or_else(|e| panic!("{arm} {}: {e}", b.name));
+            check(arm, b.name, b.source, &c);
+        }
+        warm.compile(b.source)
+            .unwrap_or_else(|e| panic!("warm {}: {e}", b.name));
+        let c = warm
+            .compile(b.source)
+            .unwrap_or_else(|e| panic!("warm {}: {e}", b.name));
+        let incr = c.report.incremental.as_ref().expect("incremental report");
+        assert_eq!(
+            incr.cache_hits, incr.funcs_total,
+            "{}: the second compile must be all hits",
+            b.name
+        );
+        check("warm", b.name, b.source, &c);
+    }
+    assert!(checked > 0);
+    for pass in [
+        "ssa-construct",
+        "ssa-destruct",
+        "pointer-promote",
+        "regalloc",
+    ] {
+        assert!(
+            passes.contains(pass),
+            "no arm recorded a `{pass}` delta; seen: {passes:?}"
+        );
+    }
+}
